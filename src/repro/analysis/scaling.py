@@ -13,8 +13,6 @@ times ``voltage``.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.config import ProcessNode
 from repro.errors import ConfigError
 
@@ -52,21 +50,6 @@ def scale_power(
     if power_watts < 0:
         raise ConfigError("power must be non-negative")
     return power_watts * scaling_factor(source, target, kind)
-
-
-def scale_budget(
-    budget_watts: Dict[str, float],
-    source: ProcessNode,
-    target: ProcessNode,
-    leakage_keys: Dict[str, bool],
-) -> Dict[str, float]:
-    """Scale a named power budget; ``leakage_keys[name]`` selects the
-    scaling kind per component (True = leakage-dominated)."""
-    out = {}
-    for name, watts in budget_watts.items():
-        kind = "leakage" if leakage_keys.get(name, True) else "dynamic"
-        out[name] = scale_power(watts, source, target, kind)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ of Fig. 6(b)/(c), the sensitivity grids, and the residency sweeps.  The
 parallel mode returns results in parameter order, identical to the
 serial path.
 
-With a telemetry stream installed (:mod:`repro.obs.stream`) the sweep
+With a telemetry stream attached (:mod:`repro.obs.stream`) the sweep
 also emits live progress: the parent folds every completed point into
 bounded histograms and a ``sweep`` heartbeat, and parallel workers
 mirror their own bounded aggregates to per-worker heartbeat files that
@@ -21,8 +21,9 @@ from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.effects import declares_effects
 from repro.errors import AnalysisError
-from repro.obs.runlog import active_recorder, host_wall_s
-from repro.obs.stream import active_stream, record_worker_point
+from repro.obs.runlog import host_wall_s
+from repro.obs.session import current
+from repro.obs.stream import record_worker_point
 
 Value = TypeVar("Value")
 
@@ -35,7 +36,7 @@ ZERO_REFERENCE_TOLERANCE = 1e-12
 class _TimedCall:
     """Picklable wrapper timing one sweep point inside a worker process.
 
-    Used while a flight recorder or a telemetry stream is installed: the
+    Used while a flight recorder or a telemetry stream is attached: the
     wrapper rides the same pickle channel as ``experiment`` itself, and
     each worker reports ``(result, wall_s, pid)`` so the parent can
     attribute per-point host time and worker fan-out to the run record.
@@ -88,22 +89,21 @@ def sweep(
     degradation as ``backend: "serial-fallback"``; passing ``max_workers``
     explicitly still forces a pool of that size.
 
-    When a flight recorder is installed
-    (:func:`repro.obs.runlog.active_recorder`) the sweep contributes its
+    When a flight recorder is attached to the observation session
+    (:mod:`repro.obs.session`) the sweep contributes its
     fan-out shape — point count, parallelism, backend, per-point wall
     times, and the worker process ids that served them — to the
     enclosing run record.
 
-    When a telemetry stream is installed
-    (:func:`repro.obs.stream.active_stream`) the sweep emits live
+    When a telemetry stream is attached the sweep emits live
     progress: bounded ``sweep.point_result``/``sweep.point_wall_s``
     histograms plus a ``sweep`` heartbeat per completed point on the
     parent side, per-worker heartbeat files on the worker side (with the
     stream's ``heartbeat_dir`` set), merged back after the pool drains.
     """
     values = list(parameter_values)
-    recorder = active_recorder()
-    stream = active_stream()
+    session = current()
+    recorder, stream = session.recorder, session.stream
     observed = recorder is not None or stream is not None
     start_s = host_wall_s() if observed else 0.0
     serial_fallback = (

@@ -145,10 +145,6 @@ class Chipset:
         if self._thermal_monitor is not None:
             self._thermal_monitor.disarm()
 
-    @property
-    def thermal_monitor(self) -> Optional[GPIOMonitor]:
-        return self._thermal_monitor
-
     # --- FET control ------------------------------------------------------------------
 
     def drive_fet(self, conducting: bool) -> None:

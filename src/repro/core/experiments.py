@@ -36,7 +36,8 @@ from repro.core.techniques import TechniqueSet
 from repro.analysis.breakdown import fig1b_shares
 from repro.analysis.breakeven import find_break_even
 from repro.analysis.sweep import sweep
-from repro.obs.runlog import active_recorder, host_wall_s
+from repro.obs.runlog import host_wall_s
+from repro.obs.session import current
 from repro.perf.fingerprint import fingerprint
 from repro.timers.calibration import (
     fractional_bits_for_precision,
@@ -153,11 +154,12 @@ def experiment_driver(
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Register a driver and wire it to the experiment flight recorder.
 
-    With a :class:`~repro.obs.runlog.RunRecorder` installed, each call
-    of the driver contributes one run record — config fingerprint, host
-    wall time, extracted metrics, golden-value verdicts, cache stats and
-    any pending measurement/sweep sub-events.  With no recorder
-    installed the wrapper is a single ``None`` check.
+    With a :class:`~repro.obs.runlog.RunRecorder` attached to the
+    observation session, each call of the driver contributes one run
+    record — config fingerprint, host wall time, extracted metrics,
+    golden-value verdicts, cache stats and any pending measurement/sweep
+    sub-events.  With no recorder attached the wrapper is a single
+    ``None`` check.
     """
 
     def wrap(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -173,7 +175,7 @@ def experiment_driver(
 
         @functools.wraps(fn)
         def recorded(*args: Any, **kwargs: Any) -> Any:
-            recorder = active_recorder()
+            recorder = current().recorder
             if recorder is None:
                 return fn(*args, **kwargs)
             started_s = host_wall_s()

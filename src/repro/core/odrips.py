@@ -21,10 +21,9 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.config import PlatformConfig, StandbyWorkloadConfig, skylake_config
 from repro.core.techniques import TechniqueSet
-from repro.obs.profile import host_phase
 from repro.effects import declares_effects
-from repro.obs.runlog import active_recorder, host_wall_s
-from repro.obs.stream import active_stream
+from repro.obs.runlog import host_wall_s
+from repro.obs.session import current
 from repro.system.skylake import SkylakePlatform
 from repro.workloads.standby import ConnectedStandbyRunner, StandbyResult
 
@@ -134,12 +133,14 @@ class ODRIPSController:
         With a :attr:`cache` configured, identical configurations return
         the memoized :class:`StandbyMeasurement` without re-simulating.
 
-        When a flight recorder is installed
-        (:func:`repro.obs.runlog.active_recorder`) the measurement's host
-        wall time and cache-hit status are contributed to the run record.
+        When a flight recorder is attached to the observation session
+        (:mod:`repro.obs.session`) the measurement's host wall time and
+        cache-hit status are contributed to the run record; an attached
+        telemetry stream gets the result and the configuration
+        fingerprint.
         """
-        recorder = active_recorder()
-        stream = active_stream()
+        session = current()
+        recorder, stream = session.recorder, session.stream
         start_s = (
             host_wall_s() if (recorder is not None or stream is not None) else 0.0
         )
@@ -153,31 +154,25 @@ class ODRIPSController:
             "period_s": period_s,
             "macro": macro,
         }
-        if stream is not None:
-            # exemplar labels for the OpenMetrics exposition: which
-            # technique set and exact configuration produced the samples
+        key = ""
+        if stream is not None or self.cache is not None:
+            # one hash serves as the cache key and the stream exemplar
             from repro.perf.fingerprint import fingerprint  # import cycle guard
 
-            stream.set_label("experiment", self.techniques.label())
-            stream.set_label(
-                "fingerprint",
-                fingerprint(
-                    "ODRIPSController.measure",
-                    self.config,
-                    self.techniques,
-                    self.workload,
-                    arguments,
-                ),
-            )
-        cached = False
-        if self.cache is not None:
-            key = self.cache.key(
+            key = fingerprint(
                 "ODRIPSController.measure",
                 self.config,
                 self.techniques,
                 self.workload,
                 arguments,
             )
+        if stream is not None:
+            # exemplar labels for the OpenMetrics exposition: which
+            # technique set and exact configuration produced the samples
+            stream.set_label("experiment", self.techniques.label())
+            stream.set_label("fingerprint", key)
+        cached = False
+        if self.cache is not None:
             cached = key in self.cache
             result = self.cache.get_or_run(
                 key, lambda: self._measure_uncached(**arguments)
@@ -209,7 +204,8 @@ class ODRIPSController:
         period_s: Optional[float] = None,
         macro: bool = False,
     ) -> StandbyMeasurement:
-        with host_phase("build"):
+        session = current()
+        with session.phase("build"):
             platform = self.build_platform()
             if core_freq_ghz is not None:
                 platform.set_core_frequency(core_freq_ghz)
@@ -224,7 +220,7 @@ class ODRIPSController:
                 period_s=period_s,
                 macro=macro,
             )
-        with host_phase("simulate"):
+        with session.phase("simulate"):
             result = runner.run(cycles=cycles)
         return StandbyMeasurement.from_result(self.techniques.label(), result)
 

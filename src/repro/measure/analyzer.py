@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from repro.errors import MeasurementError
-from repro.obs.profile import host_phase
-from repro.obs.tracer import MEASURE_TRACK, active as _active_tracer
+from repro.obs.session import current
+from repro.obs.tracer import MEASURE_TRACK
 from repro.sim.trace import TraceRecorder
 from repro.system.states import POWER_CHANNEL
 from repro.units import PICOSECONDS_PER_SECOND, us_to_ps
@@ -151,7 +151,8 @@ class PowerAnalyzer:
         (exact rational accumulation, one final rounding), so it does not
         depend on the order the samples would have been summed in.
         """
-        with host_phase("measure"):
+        session = current()
+        with session.phase("measure"):
             total, runs = self._sample_runs(start_ps, end_ps)
             acc = Fraction(0)
             for count, watts in runs:
@@ -165,7 +166,7 @@ class PowerAnalyzer:
                 min_watts=min(values),
                 max_watts=max(values),
             )
-        tracer = _active_tracer()
+        tracer = session.tracer
         if tracer is not None:
             window = tracer.begin(
                 f"analyzer:{self.channel}",

@@ -5,7 +5,7 @@ The observability layer of the reproduction: a span/event
 :class:`~repro.obs.metrics.MetricsRegistry` of counters/gauges/
 histograms, an :class:`EnergyLedger` attributing per-domain energy to
 flow steps, and exporters for Chrome trace JSON (Perfetto), JSONL, and
-terminal summaries.  Two host-side companions watch the repo itself: the
+terminal summaries.  Three host-side companions watch the repo itself: the
 :mod:`~repro.obs.runlog` flight recorder (one JSON record per experiment
 run under ``.repro/runs/``, consumed by ``python -m repro report``), the
 :mod:`~repro.obs.profile` phase profiler (host wall time and peak
@@ -15,18 +15,23 @@ heartbeats, and rolling windows feeding the
 :mod:`~repro.obs.openmetrics` exposition and the
 :mod:`~repro.obs.dash` fleet dashboard).
 
-Quick start::
+All four sinks — tracer, stream, recorder, profiler — attach to one
+observation session (:mod:`~repro.obs.session`), the only process-wide
+obs state.  Quick start::
 
     from repro import obs
     from repro.core import ODRIPSController, TechniqueSet
 
-    with obs.observe() as tracer:
+    with obs.observe(obs.Tracer(), obs.PhaseProfiler()) as session:
         ODRIPSController(TechniqueSet.odrips()).measure(cycles=1)
-    print(obs.render_summary(tracer))
+    tracer = session.tracer
+    print(obs.render_summary(tracer, profiler=session.profiler))
     obs.write_chrome_trace(tracer, "trace.json", platform=tracer.platforms[-1])
 
-Instrumentation is opt-in and zero-cost when disabled: the hot seams
-guard on one ``obs is not None`` attribute check, and tracer state never
+``obs.attach(sink)`` / ``obs.detach(kind)`` do the same without a
+``with`` block, and ``obs.current()`` is what the instrumented seams
+read.  Instrumentation is opt-in and zero-cost when disabled: the hot
+seams guard on one ``obs is not None`` attribute check, and no sink ever
 perturbs simulated time or the :mod:`repro.perf` cache fingerprints.
 
 The exporters and the traced runner are loaded lazily (PEP 562): the
@@ -41,9 +46,9 @@ from repro.obs.metrics import (
     BoundedHistogram,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
+from repro.obs.session import Observation, attach, current, detach, observe
 from repro.obs.tracer import (
     FLOW_STEP_TRACK,
     FLOW_TRACK,
@@ -56,144 +61,57 @@ from repro.obs.tracer import (
     Instant,
     Span,
     Tracer,
-    active,
     install,
-    observe,
     uninstall,
 )
 
-#: Lazily-resolved public names -> defining module (import-cycle guard).
-_LAZY = {
-    "chrome_trace": "repro.obs.export",
-    "jsonl_lines": "repro.obs.export",
-    "render_profile": "repro.obs.export",
-    "render_summary": "repro.obs.export",
-    "write_chrome_trace": "repro.obs.export",
-    "write_jsonl": "repro.obs.export",
-    "TRACE_CONFIGS": "repro.obs.run",
-    "TraceSession": "repro.obs.run",
-    "run_traced": "repro.obs.run",
-    "CausalReport": "repro.obs.causal",
-    "attribution_cells": "repro.obs.causal",
-    "build_causal_report": "repro.obs.causal",
-    "flow_critical_paths": "repro.obs.causal",
-    "wake_cause": "repro.obs.causal",
-    "EXPLAIN_SCHEMA": "repro.obs.diff",
-    "RunProfile": "repro.obs.diff",
-    "diff_profiles": "repro.obs.diff",
-    "explain_history": "repro.obs.diff",
-    "explain_simulate": "repro.obs.diff",
-    "profile_config": "repro.obs.diff",
-    "render_explain": "repro.obs.diff",
-    "validate_explain_payload": "repro.obs.diff",
-    "PhaseProfiler": "repro.obs.profile",
-    "active_profiler": "repro.obs.profile",
-    "host_phase": "repro.obs.profile",
-    "install_profiler": "repro.obs.profile",
-    "profiled": "repro.obs.profile",
-    "uninstall_profiler": "repro.obs.profile",
-    "RunLog": "repro.obs.runlog",
-    "RunRecorder": "repro.obs.runlog",
-    "active_recorder": "repro.obs.runlog",
-    "git_revision": "repro.obs.runlog",
-    "install_recorder": "repro.obs.runlog",
-    "recording": "repro.obs.runlog",
-    "uninstall_recorder": "repro.obs.runlog",
-    "RollingWindow": "repro.obs.stream",
-    "TelemetryStream": "repro.obs.stream",
-    "active_stream": "repro.obs.stream",
-    "install_stream": "repro.obs.stream",
-    "merge_worker_heartbeats": "repro.obs.stream",
-    "read_heartbeat_dir": "repro.obs.stream",
-    "record_worker_point": "repro.obs.stream",
-    "streaming": "repro.obs.stream",
-    "uninstall_stream": "repro.obs.stream",
-    "openmetrics_lines": "repro.obs.openmetrics",
-    "render_openmetrics": "repro.obs.openmetrics",
-    "validate_openmetrics": "repro.obs.openmetrics",
-    "write_openmetrics": "repro.obs.openmetrics",
-    "build_dashboard": "repro.obs.dash",
-    "detect_anomalies": "repro.obs.dash",
-    "render_dashboard": "repro.obs.dash",
-    "write_dashboard": "repro.obs.dash",
+#: Lazily-resolved public names, by defining module (import-cycle guard).
+_LAZY_MODULES = {
+    "repro.obs.causal": (
+        "CausalReport", "attribution_cells", "build_causal_report",
+        "flow_critical_paths", "wake_cause",
+    ),
+    "repro.obs.dash": (
+        "build_dashboard", "detect_anomalies", "render_dashboard", "write_dashboard",
+    ),
+    "repro.obs.diff": (
+        "EXPLAIN_SCHEMA", "RunProfile", "diff_profiles", "explain_history",
+        "explain_simulate", "profile_config", "render_explain",
+        "validate_explain_payload",
+    ),
+    "repro.obs.export": (
+        "chrome_trace", "jsonl_lines", "render_profile", "render_summary",
+        "write_chrome_trace", "write_jsonl",
+    ),
+    "repro.obs.openmetrics": (
+        "openmetrics_lines", "render_openmetrics", "validate_openmetrics",
+        "write_openmetrics",
+    ),
+    "repro.obs.profile": ("PhaseProfiler", "host_phase"),
+    "repro.obs.run": ("TRACE_CONFIGS", "TraceSession", "run_traced"),
+    "repro.obs.runlog": (
+        "RunLog", "RunRecorder", "git_revision", "install_recorder",
+        "uninstall_recorder",
+    ),
+    "repro.obs.stream": (
+        "RollingWindow", "TelemetryStream", "install_stream",
+        "merge_worker_heartbeats", "read_heartbeat_dir", "record_worker_point",
+        "uninstall_stream",
+    ),
 }
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
-__all__ = [
-    "BoundedHistogram",
-    "CausalEdge",
-    "CausalReport",
-    "Counter",
-    "EXPLAIN_SCHEMA",
-    "EnergyLedger",
-    "FLOW_STEP_TRACK",
-    "FLOW_TRACK",
-    "Gauge",
-    "Histogram",
-    "Instant",
-    "KERNEL_TRACK",
-    "LedgerCell",
-    "MACRO_TRACK",
-    "MEASURE_TRACK",
-    "MetricsRegistry",
-    "PMU_TRACK",
-    "PhaseProfiler",
-    "RollingWindow",
-    "RunLog",
-    "RunProfile",
-    "RunRecorder",
-    "Span",
-    "TelemetryStream",
-    "TRACE_CONFIGS",
-    "TraceSession",
-    "Tracer",
-    "WAKE_TRACK",
-    "active",
-    "active_profiler",
-    "active_recorder",
-    "active_stream",
-    "attribution_cells",
-    "build_causal_report",
-    "build_dashboard",
-    "chrome_trace",
-    "detect_anomalies",
-    "diff_profiles",
-    "explain_history",
-    "explain_simulate",
-    "flow_critical_paths",
-    "git_revision",
-    "host_phase",
-    "install",
-    "install_profiler",
-    "install_recorder",
-    "install_stream",
-    "jsonl_lines",
-    "merge_worker_heartbeats",
-    "observe",
-    "openmetrics_lines",
-    "profile_config",
-    "profiled",
-    "read_heartbeat_dir",
-    "record_worker_point",
-    "recording",
-    "render_dashboard",
-    "render_explain",
-    "render_openmetrics",
-    "render_profile",
-    "render_summary",
-    "run_traced",
-    "streaming",
-    "uninstall",
-    "uninstall_profiler",
-    "uninstall_recorder",
-    "uninstall_stream",
-    "validate_explain_payload",
-    "validate_openmetrics",
-    "wake_cause",
-    "write_chrome_trace",
-    "write_dashboard",
-    "write_jsonl",
-    "write_openmetrics",
-]
+__all__ = sorted(
+    [
+        "BoundedHistogram", "CausalEdge", "Counter", "EnergyLedger",
+        "FLOW_STEP_TRACK", "FLOW_TRACK", "Gauge", "Instant", "KERNEL_TRACK",
+        "LedgerCell", "MACRO_TRACK", "MEASURE_TRACK",
+        "MetricsRegistry", "Observation", "PMU_TRACK", "Span", "Tracer",
+        "WAKE_TRACK", "attach", "current", "detach", "install", "observe",
+        "uninstall",
+    ]
+    + list(_LAZY)
+)
 
 
 def __getattr__(name: str):

@@ -50,6 +50,11 @@ def _ts(time_ps: int) -> float:
     return time_ps / _PS_PER_US
 
 
+def _meta(kind: str, pid: int, tid: int, label: str) -> Dict[str, Any]:
+    """A process/thread-name metadata event."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid, "args": {"name": label}}
+
+
 def _track_ids(tracer: Tracer, platform: Optional[Any]) -> Dict[str, int]:
     """Stable track-name -> tid assignment, in first-use order."""
     order: List[str] = []
@@ -80,46 +85,22 @@ def chrome_trace(
     but not a clock.
     """
     tracks = _track_ids(tracer, platform)
-    events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": TRACE_PID,
-            "tid": 0,
-            "args": {"name": "repro-sim"},
-        }
-    ]
-    for track, tid in tracks.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": TRACE_PID,
-                "tid": tid,
-                "args": {"name": track},
-            }
-        )
+    events = [_meta("process_name", TRACE_PID, 0, "repro-sim")]
+    events.extend(
+        _meta("thread_name", TRACE_PID, tid, track) for track, tid in tracks.items()
+    )
     for span in tracer.spans:
-        tid = tracks[span.track]
+        # a leaked span emits only its open edge ("B") so the leak is visible
+        event = {
+            "name": span.name,
+            "cat": span.track,
+            "ph": "X" if span.closed else "B",
+            "ts": _ts(span.start_ps),
+            "pid": TRACE_PID,
+            "tid": tracks[span.track],
+        }
         if span.closed:
-            event = {
-                "name": span.name,
-                "cat": span.track,
-                "ph": "X",
-                "ts": _ts(span.start_ps),
-                "dur": _ts(span.duration_ps),
-                "pid": TRACE_PID,
-                "tid": tid,
-            }
-        else:  # leaked span: emit the open edge so the leak is visible
-            event = {
-                "name": span.name,
-                "cat": span.track,
-                "ph": "B",
-                "ts": _ts(span.start_ps),
-                "pid": TRACE_PID,
-                "tid": tid,
-            }
+            event["dur"] = _ts(span.duration_ps)
         if span.args:
             event["args"] = dict(span.args)
         events.append(event)
@@ -191,20 +172,8 @@ def _flow_arrow_events(
 
 def _profiler_events(profiler: PhaseProfiler) -> Iterator[Dict[str, Any]]:
     """Host-phase spans as a separate ``repro-host`` trace process."""
-    yield {
-        "name": "process_name",
-        "ph": "M",
-        "pid": HOST_PID,
-        "tid": 0,
-        "args": {"name": "repro-host"},
-    }
-    yield {
-        "name": "thread_name",
-        "ph": "M",
-        "pid": HOST_PID,
-        "tid": 0,
-        "args": {"name": "host phases"},
-    }
+    yield _meta("process_name", HOST_PID, 0, "repro-host")
+    yield _meta("thread_name", HOST_PID, 0, "host phases")
     for span in profiler.closed_spans():
         event: Dict[str, Any] = {
             "name": span.name,

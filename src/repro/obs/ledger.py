@@ -86,13 +86,6 @@ class EnergyLedger:
         """Average battery-side watts one domain drew over the window."""
         return self.domain_energy_j.get(domain, 0.0) / self.window_s
 
-    def span_energy_j(self) -> Dict[str, float]:
-        """Joules per span name, summed over occurrences and domains."""
-        totals: Dict[str, float] = {}
-        for cell in self.cells:
-            totals[cell.span] = totals.get(cell.span, 0.0) + cell.energy_joules
-        return totals
-
     def span_domain_energy_j(self) -> Dict[str, Dict[str, float]]:
         """Joules per (span name, domain), summed over occurrences."""
         table: Dict[str, Dict[str, float]] = {}

@@ -6,15 +6,10 @@ and *how much*.  Instruments are created lazily on first use and are
 plain Python objects — no background threads, no sampling, no host
 clocks — so they are safe to update from simulation callbacks.
 
-Two histogram classes cover the two observation regimes:
-
-* :class:`Histogram` keeps every exact sample — right for post-hoc
-  analysis of a few thousand observations, wrong for week-scale macro
-  horizons (lint rule S408 flags it in hot paths);
-* :class:`BoundedHistogram` keeps log-spaced buckets with exact
-  count/sum/min/max — memory bounded by the value *range*, not the
-  observation count, and mergeable across sweep worker processes
-  (request it with ``MetricsRegistry.histogram(name, bounded=True)``).
+There is one histogram type, :class:`BoundedHistogram`: log-spaced
+buckets with exact count/sum/min/max, so memory is bounded by the value
+*range*, not the observation count — safe in week-scale macro horizons
+— and snapshots merge across sweep worker processes.
 """
 
 from __future__ import annotations
@@ -57,52 +52,6 @@ class Gauge:
 
     def set(self, value: Number) -> None:
         self.value = value
-
-
-class Histogram:
-    """A distribution of observations (e.g. flow latencies).
-
-    Keeps every observation: observed runs record at most a few thousand
-    values, and exact percentiles beat bucketed approximations at that
-    scale.
-    """
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: List[float] = []
-
-    def observe(self, value: Number) -> None:
-        self.values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self.values) if self.values else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile; ``fraction`` in [0, 1].
-
-        Raises :class:`~repro.errors.MeasurementError` on an empty
-        histogram — a percentile of nothing is a question, not a zero.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise MeasurementError(f"percentile fraction {fraction} outside [0, 1]")
-        if not self.values:
-            raise MeasurementError(
-                f"percentile of empty histogram {self.name!r}"
-            )
-        ordered = sorted(self.values)
-        index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[index]
 
 
 class BoundedHistogram:
@@ -298,17 +247,13 @@ class BoundedHistogram:
         return hist
 
 
-#: Either histogram flavour, as stored in a :class:`MetricsRegistry`.
-AnyHistogram = Union[Histogram, BoundedHistogram]
-
-
 class MetricsRegistry:
     """Lazily-created named instruments, one namespace per tracer."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, AnyHistogram] = {}
+        self._histograms: Dict[str, BoundedHistogram] = {}
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -322,22 +267,11 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name: str, bounded: bool = False) -> AnyHistogram:
-        """The named histogram, created on first use.
-
-        ``bounded=True`` creates a :class:`BoundedHistogram` (log-bucket
-        aggregation, memory bounded by value range) instead of the exact
-        :class:`Histogram` — the right flavour inside macro or sweep hot
-        paths (lint rule S408).  The flavour is fixed at first creation;
-        later lookups return the existing instrument regardless of the
-        flag.
-        """
+    def histogram(self, name: str) -> BoundedHistogram:
+        """The named histogram, created on first use."""
         instrument = self._histograms.get(name)
         if instrument is None:
-            if bounded:
-                instrument = self._histograms[name] = BoundedHistogram(name)
-            else:
-                instrument = self._histograms[name] = Histogram(name)
+            instrument = self._histograms[name] = BoundedHistogram(name)
         return instrument
 
     # --- views -----------------------------------------------------------
@@ -348,7 +282,7 @@ class MetricsRegistry:
     def gauges(self) -> Dict[str, Number]:
         return {name: g.value for name, g in sorted(self._gauges.items())}
 
-    def histograms(self) -> Dict[str, AnyHistogram]:
+    def histograms(self) -> Dict[str, BoundedHistogram]:
         return dict(sorted(self._histograms.items()))
 
     def counter_value(self, name: str, default: int = 0) -> int:
@@ -367,7 +301,6 @@ class MetricsRegistry:
                     "mean": hist.mean,
                     "p50": hist.percentile(0.50) if hist.count else None,
                     "p95": hist.percentile(0.95) if hist.count else None,
-                    "bounded": isinstance(hist, BoundedHistogram),
                 }
                 for name, hist in self.histograms().items()
             },

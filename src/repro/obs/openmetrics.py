@@ -10,9 +10,6 @@ Renders a :class:`~repro.obs.metrics.MetricsRegistry` and/or a
   ``kernel.events:timer-fire``) split into one family with an ``event``
   label per variant;
 * gauges and heartbeat fields become ``gauge`` families;
-* exact :class:`~repro.obs.metrics.Histogram` instruments become
-  ``summary`` families (exact ``quantile`` samples beat bucketed ones at
-  post-hoc scale);
 * :class:`~repro.obs.metrics.BoundedHistogram` instruments become true
   ``histogram`` families — the log buckets map directly onto cumulative
   ``le`` series — with the run's config fingerprint attached to the
@@ -32,13 +29,10 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.obs.metrics import BoundedHistogram, Histogram, MetricsRegistry
+from repro.obs.metrics import BoundedHistogram, MetricsRegistry
 
 if TYPE_CHECKING:  # import cycle guard: stream imports nothing from here
     from repro.obs.stream import TelemetryStream
-
-#: Exposition content type (HTTP); recorded for documentation purposes.
-CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 #: Prefix of every exposed metric family.
 METRIC_PREFIX = "repro_"
@@ -127,25 +121,10 @@ def _gauge_lines(gauges: Mapping[str, Union[int, float]]) -> List[str]:
     return lines
 
 
-def _summary_lines(name: str, hist: Histogram) -> List[str]:
-    """Exact histograms expose as summaries with exact quantiles."""
-    family = sanitize_metric_name(name)
-    lines = [f"# TYPE {family} summary"]
-    if hist.count:
-        for fraction in (0.5, 0.95):
-            lines.append(
-                f'{family}{{quantile="{fraction}"}} '
-                f"{_format_value(hist.percentile(fraction))}"
-            )
-    lines.append(f"{family}_count {hist.count}")
-    lines.append(f"{family}_sum {_format_value(hist.total)}")
-    return lines
-
-
 def _histogram_lines(
     name: str, hist: BoundedHistogram, exemplar: Optional[str] = None
 ) -> List[str]:
-    """Bounded histograms expose as native histogram families.
+    """Histograms expose as native histogram families.
 
     ``exemplar`` (a config fingerprint) rides on the ``+Inf`` bucket —
     the one sample every scrape reads — pointing the series back at the
@@ -196,17 +175,12 @@ def openmetrics_lines(
 ) -> List[str]:
     """Exposition lines (without the ``# EOF`` terminator)."""
     lines: List[str] = []
-    exemplar = None
-    if stream is not None:
-        exemplar = stream.labels.get("fingerprint")
+    exemplar = stream.labels.get("fingerprint") if stream is not None else None
     if metrics is not None:
         lines.extend(_counter_lines(metrics.counters()))
         lines.extend(_gauge_lines(metrics.gauges()))
         for name, hist in metrics.histograms().items():
-            if isinstance(hist, BoundedHistogram):
-                lines.extend(_histogram_lines(name, hist, exemplar))
-            else:
-                lines.extend(_summary_lines(name, hist))
+            lines.extend(_histogram_lines(name, hist, exemplar))
     if stream is not None:
         for name, hist in sorted(stream.histograms.items()):
             lines.extend(_histogram_lines(name, hist, exemplar))

@@ -13,10 +13,11 @@ allocations to the four phases every experiment decomposes into:
 * ``analyze`` — everything around them: driver glue, sweep fan-out,
   table formatting (the CLI opens this phase around each command).
 
-Hooks are context managers; instrumented seams guard on one
-``active_profiler() is None`` check, so the disabled path costs a single
-function call per seam — the same zero-cost discipline as the tracer,
-enforced by the 3% overhead guard in ``benchmarks/bench_perf_engine.py``.
+Hooks are context managers; instrumented seams read the profiler slot
+of the observation session (:mod:`repro.obs.session`) and guard on one
+``None`` check, so the disabled path costs a single function call per
+seam — the same zero-cost discipline as the tracer, enforced by the 3%
+overhead guard in ``benchmarks/bench_perf_engine.py``.
 
 Host time is exactly what lint rule S401 bans from simulation code, so
 the two clock reads below carry explicit ``lint: allow`` pragmas — this
@@ -26,7 +27,8 @@ Usage::
 
     from repro import obs
 
-    with obs.profiled(track_allocations=True) as profiler:
+    profiler = obs.PhaseProfiler(track_allocations=True)
+    with obs.observe(profiler):
         fig2_connected_standby(cycles=1)
     print(obs.render_profile(profiler))
 """
@@ -36,16 +38,13 @@ from __future__ import annotations
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Any, ClassVar, ContextManager, Dict, Iterator, List, Optional
 
 from repro.effects import declares_effects
+from repro.obs.session import current
 
 #: The canonical phase names, in pipeline order.
-PHASE_BUILD = "build"
-PHASE_SIMULATE = "simulate"
-PHASE_MEASURE = "measure"
-PHASE_ANALYZE = "analyze"
-PHASES = (PHASE_BUILD, PHASE_SIMULATE, PHASE_MEASURE, PHASE_ANALYZE)
+PHASES = ("build", "simulate", "measure", "analyze")
 
 
 class PhaseSpan:
@@ -119,18 +118,22 @@ class PhaseStats:
 class PhaseProfiler:
     """Attributes host wall time (and, optionally, allocations) to phases.
 
-    ``track_allocations=True`` starts :mod:`tracemalloc` while the
-    profiler is active and records per-span peak traced memory.  Peaks
-    are measured with ``tracemalloc.reset_peak``, which is a single
-    process-wide watermark: a nested child resets it for its own
-    measurement, so a parent's recorded peak covers the segment *after*
-    its last child — an attribution approximation, documented rather
-    than hidden, that keeps the hooks allocation-free themselves.
+    ``track_allocations=True`` starts :mod:`tracemalloc` (stopped by
+    :meth:`close`, which detaching the profiler calls) and records
+    per-span peak traced memory.  Peaks are measured with
+    ``tracemalloc.reset_peak``, which is a single process-wide watermark:
+    a nested child resets it for its own measurement, so a parent's
+    recorded peak covers the segment *after* its last child — an
+    attribution approximation, documented rather than hidden, that keeps
+    the hooks allocation-free themselves.
 
     The profiler never touches simulated time: spans are stamped with
     the host clock only, and profiler state is excluded from the
     :mod:`repro.perf` configuration fingerprints.
     """
+
+    #: The observation-session slot this sink fills.
+    kind: ClassVar[str] = "profiler"
 
     def __init__(self, track_allocations: bool = False) -> None:
         self.track_allocations = track_allocations
@@ -196,58 +199,10 @@ class PhaseProfiler:
         return {name: stats.to_json() for name, stats in self.stats().items()}
 
 
-# --- process-wide opt-in hook -------------------------------------------------
+def host_phase(name: str) -> ContextManager[Any]:
+    """Instrumentation seam: a phase on the attached profiler, or a no-op.
 
-_active: Optional[PhaseProfiler] = None
-
-
-def install_profiler(profiler: Optional[PhaseProfiler] = None) -> PhaseProfiler:
-    """Activate ``profiler`` (a fresh one when omitted) process-wide."""
-    global _active
-    if profiler is None:
-        profiler = PhaseProfiler()
-    _active = profiler
-    return profiler
-
-
-def uninstall_profiler() -> None:
-    """Deactivate phase profiling (the profiler keeps its records)."""
-    global _active
-    if _active is not None:
-        _active.close()
-    _active = None
-
-
-def active_profiler() -> Optional[PhaseProfiler]:
-    """The installed profiler, or ``None`` when profiling is disabled."""
-    return _active
-
-
-@contextmanager
-def profiled(
-    profiler: Optional[PhaseProfiler] = None, track_allocations: bool = False
-) -> Iterator[PhaseProfiler]:
-    """Context manager: install a phase profiler for a block."""
-    if profiler is None:
-        profiler = PhaseProfiler(track_allocations=track_allocations)
-    installed = install_profiler(profiler)
-    try:
-        yield installed
-    finally:
-        uninstall_profiler()
-
-
-@contextmanager
-def host_phase(name: str) -> Iterator[None]:
-    """Instrumentation seam: a phase on the active profiler, or a no-op.
-
-    This is what the hooks in ``cli.py`` / ``core/odrips.py`` /
-    ``measure/analyzer.py`` call; with no profiler installed it is one
-    ``None`` check.
+    This is what the hooks in ``cli.py`` / ``core/odrips.py`` call; with
+    no profiler attached it is one session read and one ``None`` check.
     """
-    profiler = _active
-    if profiler is None:
-        yield None
-        return
-    with profiler.phase(name):
-        yield None
+    return current().phase(name)

@@ -1,7 +1,7 @@
 """Observed experiment runs: one command, one tracer, one energy ledger.
 
 :func:`run_traced` is the engine behind ``python -m repro trace``: it
-installs a fresh :class:`~repro.obs.tracer.Tracer`, runs one
+attaches a fresh :class:`~repro.obs.tracer.Tracer`, runs one
 connected-standby measurement for a named configuration, and digests the
 observation into a :class:`TraceSession` — tracer, instrumented
 platform, measurement, and an :class:`~repro.obs.ledger.EnergyLedger`
@@ -17,7 +17,8 @@ from repro.core.odrips import ODRIPSController, StandbyMeasurement
 from repro.core.techniques import TechniqueSet
 from repro.errors import ConfigError, MeasurementError
 from repro.obs.ledger import EnergyLedger
-from repro.obs.tracer import FLOW_STEP_TRACK, Tracer, observe
+from repro.obs.session import observe
+from repro.obs.tracer import FLOW_STEP_TRACK, Tracer
 
 #: Traceable configurations: single-measurement technique sets.  ``fig2``
 #: is the paper's baseline standby run; the rest are the Fig. 6(a)/(d)
@@ -60,7 +61,8 @@ def run_traced(
     if factory is None:
         known = ", ".join(sorted(TRACE_CONFIGS))
         raise ConfigError(f"unknown trace target {experiment!r}; pick one of: {known}")
-    with observe() as tracer:
+    tracer = Tracer()
+    with observe(tracer):
         controller = ODRIPSController(factory())
         measurement = controller.measure(cycles=cycles, idle_interval_s=idle_interval_s)
     if not tracer.platforms:

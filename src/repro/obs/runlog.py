@@ -23,14 +23,15 @@ A record carries:
 * the **result metrics** and their deltas against the paper's golden
   values, as declared by the driver's registry entry
   (:data:`repro.core.experiments.EXPERIMENTS`);
-* the active host-phase profiler summary, when one is installed.
+* the host-phase profiler summary, when one is attached.
 
-Recording follows the same process-wide opt-in pattern as the tracer:
-:func:`install_recorder` / :func:`active_recorder` / :func:`recording`.
-With no recorder installed every seam is one ``None`` check.  The store
-itself is line-oriented JSON (one record per line), so concurrent
-appends from separate processes interleave whole records and the file
-is grep-able.
+The recorder is the ``recorder`` slot of the observation session
+(:mod:`repro.obs.session`; :func:`install_recorder` /
+:func:`uninstall_recorder` are aliases of ``attach`` /
+``detach("recorder")``).  With no recorder attached every seam is one
+``None`` check.  The store itself is line-oriented JSON (one record per
+line), so concurrent appends from separate processes interleave whole
+records and the file is grep-able.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, ClassVar, Dict, List, Optional, Union
 
 from repro.effects import declares_effects
+from repro.obs.session import attach, current, detach
 
 #: Schema identifier stamped into every record; bump on breaking change.
 RUNLOG_SCHEMA = "repro-runlog/1"
@@ -132,6 +133,9 @@ class RunRecorder:
     which measures without a registered driver) are flushed into a
     ``cli:<command>`` record so no simulation goes unlogged.
     """
+
+    #: The observation-session slot this sink fills.
+    kind: ClassVar[str] = "recorder"
 
     def __init__(self) -> None:
         self.records: List[Dict[str, Any]] = []
@@ -234,7 +238,7 @@ class RunRecorder:
         if self._pending_sweeps:
             record["sweeps"] = self._pending_sweeps
             self._pending_sweeps = []
-        profiler = _active_profiler()
+        profiler = current().profiler
         if profiler is not None:
             record["profile"] = profiler.summary()
         self.records.append(record)
@@ -253,44 +257,17 @@ class RunRecorder:
         )
 
 
-def _active_profiler():
-    from repro.obs.profile import active_profiler
-
-    return active_profiler()
-
-
-# --- process-wide opt-in hook -------------------------------------------------
-
-_active: Optional[RunRecorder] = None
+# --- session aliases ---------------------------------------------------------
 
 
 def install_recorder(recorder: Optional[RunRecorder] = None) -> RunRecorder:
-    """Activate ``recorder`` (a fresh one when omitted) process-wide."""
-    global _active
-    if recorder is None:
-        recorder = RunRecorder()
-    _active = recorder
-    return recorder
+    """Attach ``recorder`` (a fresh one when omitted) to the session."""
+    return attach(recorder if recorder is not None else RunRecorder())
 
 
 def uninstall_recorder() -> None:
-    global _active
-    _active = None
-
-
-def active_recorder() -> Optional[RunRecorder]:
-    """The installed recorder, or ``None`` when recording is disabled."""
-    return _active
-
-
-@contextmanager
-def recording(recorder: Optional[RunRecorder] = None) -> Iterator[RunRecorder]:
-    """Context manager: install a run recorder for a block."""
-    installed = install_recorder(recorder)
-    try:
-        yield installed
-    finally:
-        uninstall_recorder()
+    """Detach the recorder; it keeps its records."""
+    detach("recorder")
 
 
 def host_wall_s() -> float:

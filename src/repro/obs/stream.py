@@ -15,13 +15,13 @@ into bounded-memory structures **while a run executes**:
   the macro engine's skip executor, and :func:`repro.analysis.sweep.sweep`
   workers.
 
-The stream follows the same process-wide opt-in pattern as the tracer
-(:func:`install_stream` / :func:`active_stream` / :func:`uninstall_stream`
-/ the :func:`streaming` context manager): hot paths capture the active
-stream once per run and pay a single ``None`` check per cycle when
-telemetry is disabled.  Streaming is pure observation — it never touches
-the kernel, the meter, or the RNG streams, so simulation results are
-bit-for-bit identical with and without a stream installed.
+The stream is the ``stream`` slot of the observation session
+(:mod:`repro.obs.session`; :func:`install_stream`/:func:`uninstall_stream`
+are aliases of ``attach``/``detach("stream")``): hot paths capture the
+attached stream once per run and pay a single ``None`` check per cycle
+when telemetry is disabled.  Streaming is pure observation — it never
+touches the kernel, the meter, or the RNG streams, so simulation results
+are bit-for-bit identical with and without a stream attached.
 
 Sweep workers are separate *processes*: their channel back to the parent
 is the **heartbeat directory** — one atomically-replaced JSON file per
@@ -41,14 +41,14 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.effects import declares_effects
 from repro.errors import MeasurementError
 from repro.obs.metrics import BoundedHistogram
 from repro.obs.runlog import host_wall_s
+from repro.obs.session import attach, detach
 from repro.units import PICOSECONDS_PER_SECOND
 
 #: Schema identifier stamped into every heartbeat payload.
@@ -134,6 +134,32 @@ def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> Path:
     return path
 
 
+@declares_effects("identity")  # stamps the emitting pid
+def _heartbeat_payload(
+    source: str, label: str, done: int, total: int, wall_s: float,
+    sim_now_ps: int = 0, events: int = 0,
+) -> Dict[str, Any]:
+    """One progress payload; rates and the naive ETA derive from ``wall_s``."""
+    sim_s = sim_now_ps / PICOSECONDS_PER_SECOND
+    frac = (done / total) if total > 0 else 0.0
+    return {
+        "schema": HEARTBEAT_SCHEMA,
+        "source": source,
+        "pid": os.getpid(),
+        "label": label,
+        "done": done,
+        "total": total,
+        "frac": frac,
+        "sim_now_ps": sim_now_ps,
+        "sim_s": sim_s,
+        "wall_s": wall_s,
+        "events": events,
+        "events_per_s": (events / wall_s) if wall_s > 0 else 0.0,
+        "sim_per_wall": (sim_s / wall_s) if wall_s > 0 else 0.0,
+        "eta_s": (wall_s * (1.0 - frac) / frac) if 0.0 < frac < 1.0 else None,
+    }
+
+
 class TelemetryStream:
     """Live bounded-memory aggregation for one observed run or sweep.
 
@@ -144,6 +170,9 @@ class TelemetryStream:
     concurrent readers (the dashboard, other processes) can watch
     progress live.
     """
+
+    #: The observation-session slot this sink fills.
+    kind: ClassVar[str] = "stream"
 
     def __init__(
         self, heartbeat_dir: Optional[Union[str, Path]] = None
@@ -194,24 +223,8 @@ class TelemetryStream:
         per source — the stream keeps the *latest*, never a history.
         """
         wall_s = host_wall_s() - self._epoch_s
-        sim_s = sim_now_ps / PICOSECONDS_PER_SECOND
-        frac = (done / total) if total > 0 else 0.0
-        payload: Dict[str, Any] = {
-            "schema": HEARTBEAT_SCHEMA,
-            "source": source,
-            "pid": os.getpid(),
-            "label": label or self.labels.get("experiment", ""),
-            "done": done,
-            "total": total,
-            "frac": frac,
-            "sim_now_ps": sim_now_ps,
-            "sim_s": sim_s,
-            "wall_s": wall_s,
-            "events": events,
-            "events_per_s": (events / wall_s) if wall_s > 0 else 0.0,
-            "sim_per_wall": (sim_s / wall_s) if wall_s > 0 else 0.0,
-            "eta_s": (wall_s * (1.0 - frac) / frac) if 0.0 < frac < 1.0 else None,
-        }
+        label = label or self.labels.get("experiment", "")
+        payload = _heartbeat_payload(source, label, done, total, wall_s, sim_now_ps, events)
         self.heartbeats[source] = payload
         if self.heartbeat_dir is not None:
             name = "".join(c if c.isalnum() or c in "-_." else "-" for c in source)
@@ -247,20 +260,11 @@ class TelemetryStream:
         """
         if self.heartbeat_dir is None:
             return 0
-        absorbed = 0
-        for path, payload in read_heartbeat_dir(self.heartbeat_dir):
-            if not path.name.startswith(WORKER_HEARTBEAT_PREFIX):
-                continue
-            absorbed += 1
+        workers = _worker_payloads(self.heartbeat_dir)
+        for path, payload in workers:
             self.heartbeats[str(payload.get("source", path.stem))] = payload
-            for name, snap in dict(payload.get("histograms", {})).items():
-                incoming = BoundedHistogram.from_snapshot(snap)
-                mine = self.histograms.get(name)
-                if mine is None:
-                    self.histograms[name] = incoming
-                else:
-                    mine.merge(incoming)
-        return absorbed
+        _merge_snapshots(self.histograms, workers)
+        return len(workers)
 
     # --- snapshots --------------------------------------------------------
 
@@ -316,27 +320,15 @@ def record_worker_point(
     state["total_wall_s"] += wall_s
     pid = os.getpid()
     done = int(state["points"])
-    payload = {
-        "schema": HEARTBEAT_SCHEMA,
-        "source": f"sweep-worker-{pid}",
-        "pid": pid,
-        "label": "sweep-worker",
-        "done": done,
-        "total": points_total,
-        "frac": (done / points_total) if points_total > 0 else 0.0,
-        "sim_now_ps": 0,
-        "sim_s": 0.0,
-        "wall_s": float(state["total_wall_s"]),
-        "events": done,
-        "events_per_s": (
-            done / state["total_wall_s"] if state["total_wall_s"] > 0 else 0.0
-        ),
-        "sim_per_wall": 0.0,
-        "eta_s": None,
-        "histograms": {
-            "sweep.worker_result": state["result"].snapshot(),
-            "sweep.worker_wall_s": state["wall_s"].snapshot(),
-        },
+    busy_s = float(state["total_wall_s"])
+    payload = _heartbeat_payload(
+        f"sweep-worker-{pid}", "sweep-worker", done, points_total, busy_s, events=done
+    )
+    # frac counts the whole sweep, not this worker's share: no ETA
+    payload["eta_s"] = None
+    payload["histograms"] = {
+        "sweep.worker_result": state["result"].snapshot(),
+        "sweep.worker_wall_s": state["wall_s"].snapshot(),
     }
     _atomic_write_json(Path(directory) / f"{WORKER_HEARTBEAT_PREFIX}{pid}.json", payload)
 
@@ -373,55 +365,41 @@ def merge_worker_heartbeats(
     snapshots, the merge adds counts and sums exactly.
     """
     merged: Dict[str, BoundedHistogram] = {}
-    for path, payload in read_heartbeat_dir(directory):
-        if not path.name.startswith(WORKER_HEARTBEAT_PREFIX):
-            continue
-        for name, snap in dict(payload.get("histograms", {})).items():
-            incoming = BoundedHistogram.from_snapshot(snap)
-            current = merged.get(name)
-            if current is None:
-                merged[name] = incoming
-            else:
-                current.merge(incoming)
+    _merge_snapshots(merged, _worker_payloads(directory))
     return merged
 
 
-# --- process-wide opt-in hook -------------------------------------------------
+def _worker_payloads(
+    directory: Union[str, Path],
+) -> List[Tuple[Path, Dict[str, Any]]]:
+    return [
+        (path, payload)
+        for path, payload in read_heartbeat_dir(directory)
+        if path.name.startswith(WORKER_HEARTBEAT_PREFIX)
+    ]
 
-_active_stream: Optional[TelemetryStream] = None
+
+def _merge_snapshots(
+    into: Dict[str, BoundedHistogram], workers: List[Tuple[Path, Dict[str, Any]]]
+) -> None:
+    """Fold every worker payload's histogram snapshots into ``into``."""
+    for _path, payload in workers:
+        for name, snap in dict(payload.get("histograms", {})).items():
+            incoming = BoundedHistogram.from_snapshot(snap)
+            if name in into:
+                into[name].merge(incoming)
+            else:
+                into[name] = incoming
 
 
-@declares_effects("module-state")  # the process-wide opt-in hook itself
+# --- session aliases ---------------------------------------------------------
+
+
 def install_stream(stream: Optional[TelemetryStream] = None) -> TelemetryStream:
-    """Activate ``stream`` (a fresh one when omitted) process-wide.
-
-    Hot paths capture the active stream once per run (not per cycle), so
-    a stream installed mid-run attaches at the next run boundary.
-    """
-    global _active_stream
-    if stream is None:
-        stream = TelemetryStream()
-    _active_stream = stream
-    return stream
+    """Attach ``stream`` (a fresh one when omitted) to the session."""
+    return attach(stream if stream is not None else TelemetryStream())
 
 
-@declares_effects("module-state")  # the process-wide opt-in hook itself
 def uninstall_stream() -> None:
-    """Deactivate streaming; captured references keep their stream."""
-    global _active_stream
-    _active_stream = None
-
-
-def active_stream() -> Optional[TelemetryStream]:
-    """The installed stream, or ``None`` when streaming is disabled."""
-    return _active_stream
-
-
-@contextmanager
-def streaming(stream: Optional[TelemetryStream] = None) -> Iterator[TelemetryStream]:
-    """Context manager: install a telemetry stream for a block."""
-    installed = install_stream(stream)
-    try:
-        yield installed
-    finally:
-        uninstall_stream()
+    """Detach the stream; runs that captured it keep it."""
+    detach("stream")

@@ -10,10 +10,11 @@ simulated picoseconds (never the host wall clock — lint rule S401):
 * **metrics** — counters/gauges/histograms in the attached
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Instrumentation is process-wide opt-in: :func:`install` activates a
-tracer, :func:`active` is what instrumented construction sites (for
-example :class:`~repro.system.skylake.SkylakePlatform`) read, and
-:func:`uninstall` deactivates it.  Hot paths hold a direct ``obs``
+Instrumentation is opt-in through the observation session
+(:mod:`repro.obs.session`): construction sites (for example
+:class:`~repro.system.skylake.SkylakePlatform`) read the session's
+``tracer`` slot, and :func:`install`/:func:`uninstall` are aliases of
+``attach``/``detach("tracer")``.  Hot paths hold a direct ``obs``
 attribute that defaults to ``None``, so with tracing disabled the only
 cost is a single attribute check — no tracer object is ever consulted.
 
@@ -26,11 +27,10 @@ byte-identical with and without a tracer attached.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.effects import declares_effects
+from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.session import attach, detach
 
 #: Default track names the instrumented seams publish on.
 KERNEL_TRACK = "kernel"
@@ -127,10 +127,14 @@ class Tracer:
 
         from repro import obs
 
-        with obs.observe() as tracer:
+        tracer = obs.Tracer()
+        with obs.observe(tracer):
             measurement = ODRIPSController(TechniqueSet.baseline()).measure(cycles=1)
         print(obs.render_summary(tracer))
     """
+
+    #: The observation-session slot this sink fills.
+    kind: ClassVar[str] = "tracer"
 
     def __init__(self) -> None:
         #: Every span, in begin order (open spans included).
@@ -138,7 +142,7 @@ class Tracer:
         #: Every instant, in record order.
         self.instants: List[Instant] = []
         self.metrics = MetricsRegistry()
-        #: Platforms built while this tracer was installed (append order).
+        #: Platforms built while this tracer was attached (append order).
         self.platforms: List[Any] = []
         #: Measurement window of the last observed run, set by the runner.
         self.window_ps: Optional[Tuple[int, int]] = None
@@ -282,56 +286,15 @@ class Tracer:
         """Record the measurement window of the observed run."""
         self.window_ps = (start_ps, end_ps)
 
-    def progress(self) -> Dict[str, int]:
-        """Record counts so far — the tracer's live-telemetry snapshot.
 
-        Cheap enough to poll mid-run (four ``len`` calls); the streaming
-        pipeline (:mod:`repro.obs.stream`) folds these into heartbeats.
-        """
-        return {
-            "spans": len(self.spans),
-            "open_spans": len(self._open),
-            "instants": len(self.instants),
-            "edges": len(self.edges),
-        }
+# --- session aliases ---------------------------------------------------------
 
 
-# --- process-wide opt-in hook -------------------------------------------------
-
-_active: Optional[Tracer] = None
-
-
-@declares_effects("module-state")  # the process-wide opt-in hook itself
 def install(tracer: Optional[Tracer] = None) -> Tracer:
-    """Activate ``tracer`` (a fresh one when omitted) process-wide.
-
-    Only construction sites read the active tracer; platforms built
-    before :func:`install` stay uninstrumented.
-    """
-    global _active
-    if tracer is None:
-        tracer = Tracer()
-    _active = tracer
-    return tracer
+    """Attach ``tracer`` (a fresh one when omitted) to the session."""
+    return attach(tracer if tracer is not None else Tracer())
 
 
-@declares_effects("module-state")  # the process-wide opt-in hook itself
 def uninstall() -> None:
-    """Deactivate tracing; already-attached platforms keep their tracer."""
-    global _active
-    _active = None
-
-
-def active() -> Optional[Tracer]:
-    """The installed tracer, or ``None`` when tracing is disabled."""
-    return _active
-
-
-@contextmanager
-def observe(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Context manager: install a tracer for the duration of a block."""
-    installed = install(tracer)
-    try:
-        yield installed
-    finally:
-        uninstall()
+    """Detach the tracer; already-built platforms keep theirs."""
+    detach("tracer")

@@ -71,18 +71,6 @@ class PowerTree:
                 return rail
         raise KeyError(f"no rail named {name!r}")
 
-    # --- introspection (used by repro.lint's model verifier) -------------------
-
-    def iter_domains(self):
-        """Every power domain registered through a rail of this tree."""
-        for rail in self._rails:
-            yield from rail.domains
-
-    def iter_components(self):
-        """Every component reachable through this tree's rails."""
-        for domain in self.iter_domains():
-            yield from domain.components
-
     # --- change propagation -----------------------------------------------------
 
     def suspend_updates(self) -> None:

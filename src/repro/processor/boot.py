@@ -63,9 +63,5 @@ class BootSRAM:
             record["mee"] = bytes.fromhex(record["mee"])
         return record
 
-    @property
-    def stored_bytes(self) -> int:
-        return self._length
-
     def clear(self) -> None:
         self._length = 0

@@ -15,6 +15,7 @@ components (retention rail, AON rail) that the techniques turn off.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.chipset.pch import Chipset
@@ -28,7 +29,7 @@ from repro.memory.nvm import EMRAMDevice
 from repro.memory.region import MemoryRegion
 from repro.memory.sram import SRAMDevice
 from repro.memory.wear_leveling import RotatingContextAllocator
-from repro.obs.tracer import active as _active_tracer
+from repro.obs.session import current
 from repro.power.meter import EnergyMeter
 from repro.power.tree import PowerTree
 from repro.processor.boot import BootSRAM
@@ -258,9 +259,9 @@ class SkylakePlatform:
 
         # --- observability (repro.obs) -------------------------------------------------------------------------------
         # Construction-time opt-in: platforms built while a tracer is
-        # installed hand it to the hot seams; otherwise every seam stays
+        # attached hand it to the hot seams; otherwise every seam stays
         # at a single `obs is None` attribute check.
-        obs = _active_tracer()
+        obs = current().tracer
         self.obs = obs
         self.kernel.obs = obs
         self.pmu.obs = obs
@@ -511,9 +512,17 @@ class SkylakePlatform:
 
     def set_core_frequency(self, freq_ghz: float) -> None:
         """Fig. 6(b) lever."""
+        _require_positive_finite("core frequency (GHz)", freq_ghz)
         self.compute.set_frequency(freq_ghz)
 
     def set_dram_frequency(self, rate_hz: float) -> None:
         """Fig. 6(c) lever (no-op for PCM main memory)."""
+        _require_positive_finite("DRAM transfer rate (Hz)", rate_hz)
         if hasattr(self.board.memory, "set_frequency"):
             self.board.memory.set_frequency(rate_hz)
+
+
+def _require_positive_finite(what: str, value: float) -> None:
+    """Reject a non-finite or non-positive lever setting with ConfigError."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be finite and positive (got {value!r})")

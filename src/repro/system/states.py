@@ -22,10 +22,6 @@ class PlatformState(enum.Enum):
     EXIT = "exit"         # executing the DRIPS exit flow
 
     @property
-    def is_idle(self) -> bool:
-        return self is PlatformState.DRIPS
-
-    @property
     def in_transition(self) -> bool:
         return self in (PlatformState.ENTRY, PlatformState.EXIT)
 

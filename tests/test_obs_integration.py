@@ -4,8 +4,8 @@ Covers the two invariants the observability layer promises:
 
 * every instrumented flow step opens *and closes* its span — a full
   ``request_drips`` -> wake round-trip leaves zero open spans;
-* tracing is pure observation — cached measurements are byte-identical
-  with and without a tracer installed.
+* observation is pure — measurements are byte-identical with and
+  without each sink (tracer, stream, recorder, profiler) attached.
 """
 
 import json
@@ -15,12 +15,11 @@ import pytest
 from repro.core.experiments import fig2_connected_standby
 from repro.core.techniques import TechniqueSet
 from repro.obs.metrics import BoundedHistogram
-from repro.obs.tracer import (
-    FLOW_STEP_TRACK,
-    FLOW_TRACK,
-    active,
-    observe,
-)
+from repro.obs.profile import PhaseProfiler
+from repro.obs.runlog import RunRecorder
+from repro.obs.session import current, observe
+from repro.obs.stream import TelemetryStream
+from repro.obs.tracer import FLOW_STEP_TRACK, FLOW_TRACK, Tracer
 from repro.perf import SimulationCache
 from repro.perf.fingerprint import canonical
 from repro.system.flows import FLOW_SPAN_TABLE, FlowController
@@ -31,7 +30,8 @@ from _platform import build_platform
 
 def run_observed_cycle(techniques, idle_s=0.05):
     """One boot -> DRIPS -> timer-wake round trip under a tracer."""
-    with observe() as tracer:
+    tracer = Tracer()
+    with observe(tracer):
         platform = build_platform(techniques, small_context=True)
         flows = FlowController(platform)
         platform.boot()
@@ -86,8 +86,8 @@ class TestSpanDiscipline:
         exit_ = tracer.metrics.histogram("flow.exit_latency_us")
         assert entry.count == len(flows.stats.entry_latencies_ps)
         assert exit_.count == len(flows.stats.exit_latencies_ps)
-        # the hot-path latency histograms are bounded (S408): the sum stays
-        # exact, so a single observation round-trips through the mean
+        # histograms are bounded with an exact sum, so a single
+        # observation round-trips through the mean
         assert isinstance(entry, BoundedHistogram)
         assert isinstance(exit_, BoundedHistogram)
         assert entry.mean == pytest.approx(flows.stats.last_entry_us())
@@ -109,7 +109,7 @@ class TestInstrumentedSeams:
         assert counters.get("wake.delivered:timer", 0) >= 1
 
     def test_platform_built_without_tracer_stays_dark(self):
-        assert active() is None
+        assert current().tracer is None
         platform = build_platform(TechniqueSet.baseline(), small_context=True)
         assert platform.obs is None
         assert platform.kernel.obs is None
@@ -118,14 +118,16 @@ class TestInstrumentedSeams:
 
     def test_uninstall_does_not_detach_built_platform(self):
         """Platforms keep the tracer they were constructed under."""
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer):
             platform = build_platform(TechniqueSet.baseline(), small_context=True)
-        assert active() is None
+        assert current().tracer is None
         assert platform.obs is tracer
 
     def test_cache_hit_miss_counters(self):
         cache = SimulationCache()
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer):
             fig2_connected_standby(cycles=1, cache=cache)
             fig2_connected_standby(cycles=1, cache=cache)
         counters = tracer.metrics.counters()
@@ -134,12 +136,34 @@ class TestInstrumentedSeams:
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
+#: Sink sets the purity test attaches: each sink alone, then all four.
+SINK_SETS = {
+    "tracer": lambda: [Tracer()],
+    "stream": lambda: [TelemetryStream()],
+    "recorder": lambda: [RunRecorder()],
+    "profiler": lambda: [PhaseProfiler()],
+    "all": lambda: [Tracer(), TelemetryStream(), RunRecorder(), PhaseProfiler()],
+}
+
+#: What each sink holds once it has seen a run.
+SINK_RECORDS = {
+    "tracer": lambda tracer: tracer.spans,
+    "stream": lambda stream: stream.histograms,
+    "recorder": lambda recorder: recorder.records,
+    "profiler": lambda profiler: profiler.spans,
+}
+
+
 class TestObservationPurity:
-    def test_measurement_identical_with_and_without_tracer(self):
-        """Acceptance: results are byte-identical with the tracer on."""
+    @pytest.mark.parametrize("sinks", sorted(SINK_SETS))
+    def test_measurement_identical_with_and_without_tracer(self, sinks):
+        """Acceptance: results are byte-identical with any sink attached."""
         dark = fig2_connected_standby(cycles=1)
-        with observe():
+        with observe(*SINK_SETS[sinks]()) as session:
             lit = fig2_connected_standby(cycles=1)
+        for kind, records in SINK_RECORDS.items():
+            sink = getattr(session, kind)
+            assert sink is None or records(sink), f"{kind} saw nothing"
         dark_bytes = json.dumps(canonical(vars(dark)), sort_keys=True)
         lit_bytes = json.dumps(canonical(vars(lit)), sort_keys=True)
         assert dark_bytes == lit_bytes
@@ -149,7 +173,7 @@ class TestObservationPurity:
         cache = SimulationCache()
         dark = fig2_connected_standby(cycles=1, cache=cache)
         assert cache.stats.misses == 1
-        with observe():
+        with observe(Tracer()):
             lit = fig2_connected_standby(cycles=1, cache=cache)
         assert cache.stats.hits == 1
         assert json.dumps(canonical(vars(dark)), sort_keys=True) == json.dumps(

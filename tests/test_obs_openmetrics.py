@@ -28,12 +28,12 @@ def _populated_registry() -> MetricsRegistry:
     registry.counter("kernel.events:wake").inc()
     registry.counter("macro.steps").inc()
     registry.gauge("cache.hit_rate").set(0.75)
-    exact = registry.histogram("flow.entry_latency_us")
+    latency = registry.histogram("flow.entry_latency_us")
     for value in (100.0, 200.0, 300.0):
-        exact.observe(value)
-    bounded = registry.histogram("cycle.duration_s", bounded=True)
+        latency.observe(value)
+    duration = registry.histogram("cycle.duration_s")
     for value in (30.0, 30.5, 31.0):
-        bounded.observe(value)
+        duration.observe(value)
     return registry
 
 
@@ -61,18 +61,20 @@ class TestRendering:
         assert 'repro_kernel_events_total{event="wake"} 1' in text
         assert "repro_macro_steps_total 1" in text  # no variant: bare family
 
-    def test_exact_histogram_becomes_summary(self):
-        text = render_openmetrics(_populated_registry())
-        assert "# TYPE repro_flow_entry_latency_us summary" in text
-        assert 'repro_flow_entry_latency_us{quantile="0.5"} 200.0' in text
-        assert "repro_flow_entry_latency_us_count 3" in text
-        assert "repro_flow_entry_latency_us_sum 600.0" in text
-
     def test_bounded_histogram_becomes_histogram_family(self):
         text = render_openmetrics(_populated_registry())
         assert "# TYPE repro_cycle_duration_s histogram" in text
         assert 'repro_cycle_duration_s_bucket{le="+Inf"} 3' in text
         assert "repro_cycle_duration_s_count 3" in text
+
+    def test_latency_histogram_keeps_exact_count_and_sum(self):
+        """Every registry histogram is bounded: no summary families, and
+        count/sum stay exact."""
+        text = render_openmetrics(_populated_registry())
+        assert "summary" not in text
+        assert "# TYPE repro_flow_entry_latency_us histogram" in text
+        assert "repro_flow_entry_latency_us_count 3" in text
+        assert "repro_flow_entry_latency_us_sum 600.0" in text
 
     def test_fingerprint_exemplar_on_inf_bucket(self):
         stream = TelemetryStream()
@@ -173,9 +175,9 @@ class TestLiveExposition:
     def test_observed_fig2_run_round_trips(self):
         """A real observed run's exposition validates cleanly."""
         from repro import obs
-        from repro.obs.stream import streaming
 
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with obs.observe(stream):
             session = obs.run_traced("fig2", cycles=2)
         text = render_openmetrics(session.tracer.metrics, stream)
         assert validate_openmetrics(text) == []

@@ -13,12 +13,11 @@ from repro.obs.runlog import (
     RUNLOG_SCHEMA,
     RunLog,
     RunRecorder,
-    active_recorder,
     git_revision,
     install_recorder,
-    recording,
     uninstall_recorder,
 )
+from repro.obs.session import current, observe
 from repro.perf.cache import SimulationCache
 
 
@@ -110,16 +109,19 @@ class TestRunLogStore:
 
 class TestRecorder:
     def test_install_uninstall(self):
-        assert active_recorder() is None
+        assert current().recorder is None
         recorder = install_recorder()
-        assert active_recorder() is recorder
+        assert isinstance(recorder, RunRecorder)
+        assert current().recorder is recorder
         uninstall_recorder()
-        assert active_recorder() is None
+        assert current().recorder is None
 
     def test_recording_context(self):
-        with recording() as recorder:
-            assert active_recorder() is recorder
-        assert active_recorder() is None
+        recorder = RunRecorder()
+        with observe(recorder) as session:
+            assert session.recorder is recorder
+            assert current().recorder is recorder
+        assert current().recorder is None
 
     def test_experiment_drains_pending_subevents(self):
         recorder = RunRecorder()
@@ -155,7 +157,8 @@ class TestRecorder:
 
 class TestDriverIntegration:
     def test_fig2_run_is_recorded(self):
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder):
             fig2_connected_standby(cycles=1)
         assert len(recorder.records) == 1
         record = recorder.records[0]
@@ -179,7 +182,8 @@ class TestDriverIntegration:
 
     def test_cache_stats_and_cached_flag(self):
         cache = SimulationCache()
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder):
             fig2_connected_standby(cycles=1, cache=cache)
             fig2_connected_standby(cycles=1, cache=cache)
         first, second = recorder.records
@@ -191,10 +195,11 @@ class TestDriverIntegration:
     def test_no_recorder_means_no_records(self):
         result = fig2_connected_standby(cycles=1)
         assert result.average_power_mw > 0
-        assert active_recorder() is None
+        assert current().recorder is None
 
     def test_controller_seam_outside_driver(self):
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder):
             ODRIPSController().measure(cycles=1)
             recorder.finish("battery")
         assert recorder.records[0]["experiment"] == "cli:battery"
@@ -205,7 +210,8 @@ class TestSweepIntegration:
     def test_serial_sweep_contributes_fanout(self):
         from repro.analysis.sweep import sweep
 
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder):
             points = sweep([1.0, 2.0, 3.0], _double)
             recorder.finish("sweep")
         assert points == [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]
@@ -218,7 +224,8 @@ class TestSweepIntegration:
     def test_parallel_sweep_reports_workers(self):
         from repro.analysis.sweep import sweep
 
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder):
             points = sweep([1.0, 2.0, 3.0, 4.0], _double, parallel=True,
                            max_workers=2)
             recorder.finish("sweep")

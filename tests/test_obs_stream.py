@@ -19,17 +19,16 @@ import pytest
 from repro.analysis.sweep import sweep
 from repro.core.odrips import ODRIPSController
 from repro.errors import MeasurementError
-from repro.obs.metrics import BoundedHistogram, Histogram, MetricsRegistry
+from repro.obs.metrics import BoundedHistogram, MetricsRegistry
+from repro.obs.session import current, observe
 from repro.obs.stream import (
     HEARTBEAT_SCHEMA,
     RollingWindow,
     TelemetryStream,
-    active_stream,
     install_stream,
     merge_worker_heartbeats,
     read_heartbeat_dir,
     record_worker_point,
-    streaming,
     uninstall_stream,
 )
 from repro.units import PICOSECONDS_PER_SECOND
@@ -40,20 +39,25 @@ def _square(value):
     return value * value
 
 
+def _nearest_rank(values, fraction):
+    """The exact nearest-rank percentile of ``values``."""
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))]
+
+
 class TestBoundedHistogram:
     def test_count_sum_min_max_match_exact(self):
         """The bounded aggregate keeps exact count/sum/min/max."""
         values = [0.003, 0.7, 1.0, 2.5, 14.0, 14.0, 311.0]
         bounded = BoundedHistogram("t")
-        exact = Histogram("t")
         for value in values:
             bounded.observe(value)
-            exact.observe(value)
-        assert bounded.count == exact.count == len(values)
-        assert bounded.total == exact.total
-        assert bounded.mean == exact.mean
-        assert bounded.min_value == min(values)
-        assert bounded.max_value == max(values)
+        assert bounded.count == len(values)
+        assert bounded.total == math.fsum(values)
+        assert bounded.mean == math.fsum(values) / len(values)
+        ordered = sorted(values)
+        assert bounded.min_value == ordered[0]
+        assert bounded.max_value == ordered[-1]
 
     def test_negative_and_zero_values(self):
         hist = BoundedHistogram("t")
@@ -113,21 +117,19 @@ class TestBoundedHistogram:
             BoundedHistogram.from_snapshot({"name": "t"})
 
     def test_percentile_empty_raises_typed_error(self):
-        """Both flavours: a percentile of nothing is a question, not 0."""
+        """A percentile of nothing is a question, not 0."""
         with pytest.raises(MeasurementError):
             BoundedHistogram("t").percentile(0.5)
         with pytest.raises(MeasurementError):
-            Histogram("t").percentile(0.5)
+            MetricsRegistry().histogram("t").percentile(0.5)
 
     def test_percentile_bucket_error_bound(self):
         """p50 lands within the sqrt(base)-1 relative bound, in [min, max]."""
         values = [1.0 + 0.37 * i for i in range(101)]
         bounded = BoundedHistogram("t")
-        exact = Histogram("t")
         for value in values:
             bounded.observe(value)
-            exact.observe(value)
-        p50_exact = exact.percentile(0.5)
+        p50_exact = _nearest_rank(values, 0.5)
         p50_bounded = bounded.percentile(0.5)
         bound = math.sqrt(bounded.base) - 1.0
         assert abs(p50_bounded - p50_exact) / p50_exact <= bound + 1e-9
@@ -138,14 +140,14 @@ class TestBoundedHistogram:
             BoundedHistogram("t").observe(float("nan"))
 
     def test_registry_bounded_flag(self):
+        """Registry histograms are always bounded, created once per name."""
         registry = MetricsRegistry()
-        assert isinstance(registry.histogram("a", bounded=True), BoundedHistogram)
-        assert isinstance(registry.histogram("b"), Histogram)
-        # flavour fixed at first creation; later lookups reuse it
-        assert registry.histogram("a") is registry.histogram("a", bounded=True)
+        hist = registry.histogram("a")
+        assert isinstance(hist, BoundedHistogram)
+        assert registry.histogram("a") is hist
+        hist.observe(2.0)
         snap = registry.snapshot()["histograms"]
-        assert snap["a"]["bounded"] is True
-        assert snap["b"]["bounded"] is False
+        assert snap["a"]["count"] == 1 and snap["a"]["total"] == 2.0
 
 
 class TestRollingWindow:
@@ -248,7 +250,8 @@ class TestWorkerHeartbeats:
 
 class TestSweepStreaming:
     def test_serial_sweep_emits_live_progress(self):
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with observe(stream):
             rows = sweep([1.0, 2.0, 3.0], _square)
         assert [result for _value, result in rows] == [1.0, 4.0, 9.0]
         hist = stream.histograms["sweep.point_result"]
@@ -264,7 +267,7 @@ class TestSweepStreaming:
         values = [1.0, 2.0, 3.0, 4.0]
         serial = sweep(values, _square)
         stream = TelemetryStream(heartbeat_dir=tmp_path)
-        with streaming(stream):
+        with observe(stream):
             parallel = sweep(values, _square, parallel=True, max_workers=2)
         assert parallel == serial  # identical ordered pairs
 
@@ -284,24 +287,28 @@ class TestSweepStreaming:
 
 class TestStreamHook:
     def test_disabled_by_default_and_context_managed(self):
-        assert active_stream() is None
-        with streaming() as stream:
-            assert active_stream() is stream
-        assert active_stream() is None
+        assert current().stream is None
+        stream = TelemetryStream()
+        with observe(stream) as session:
+            assert session.stream is stream
+            assert current().stream is stream
+        assert current().stream is None
 
     def test_install_uninstall(self):
         stream = install_stream()
         try:
-            assert active_stream() is stream
+            assert isinstance(stream, TelemetryStream)
+            assert current().stream is stream
         finally:
             uninstall_stream()
-        assert active_stream() is None
+        assert current().stream is None
 
 
 class TestStreamingPurity:
     def test_results_bit_for_bit_with_and_without_stream(self):
         dark = ODRIPSController().measure(cycles=2)
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with observe(stream):
             lit = ODRIPSController().measure(cycles=2)
         assert lit.average_power_w == dark.average_power_w
         assert lit.drips_residency == dark.drips_residency
@@ -314,7 +321,8 @@ class TestStreamingPurity:
 
     def test_macro_run_heartbeats_and_purity(self):
         dark = ODRIPSController().measure_raw(cycles=400, macro=True)
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with observe(stream):
             lit = ODRIPSController().measure_raw(cycles=400, macro=True)
         assert lit.average_power_w == dark.average_power_w
         assert lit.residency == dark.residency

@@ -19,7 +19,8 @@ from repro.errors import MacroError, MeasurementError, SimulationError
 from repro.lint.model import lint_model_view, walk_model
 from repro.obs.ledger import EnergyLedger
 from repro.obs.runlog import RunRecorder, install_recorder, uninstall_recorder
-from repro.obs.tracer import MACRO_TRACK, observe
+from repro.obs.session import observe
+from repro.obs.tracer import MACRO_TRACK, Tracer
 from repro.perf import SimulationCache
 from repro.power.meter import EnergyMeter
 from repro.sim.kernel import Kernel
@@ -208,7 +209,8 @@ class TestIntegrationSeams:
         assert cache.stats.hits == 1 and again is macro
 
     def test_obs_macro_span_and_metric(self):
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer):
             platform = SkylakePlatform(skylake_config(), TechniqueSet.baseline())
             result = ConnectedStandbyRunner(platform, macro=True).run(cycles=10)
         compiled = result.macro["cycles_compiled"]

@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import skylake_config
 from repro.core.techniques import ContextStore, TechniqueSet
-from repro.errors import FlowError
+from repro.core.odrips import ODRIPSController
+from repro.errors import ConfigError, FlowError
 from repro.system.skylake import AON_IO_PAD_SHARES, SkylakePlatform
 from repro.system.states import PlatformState
 
@@ -132,6 +133,16 @@ class TestLevers:
         platform = build_platform(TechniqueSet.odrips_pcm(), small_context=True)
         platform.boot()
         platform.set_dram_frequency(0.8e9)  # must not raise
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.5],
+        ids=["nan", "inf", "-inf", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("lever", ["core_freq_ghz", "dram_rate_hz"])
+    def test_lever_rejects_non_finite_or_non_positive(self, lever, value):
+        """Bad lever values raise ConfigError, never a raw ValueError or inf."""
+        with pytest.raises(ConfigError, match="finite and positive"):
+            ODRIPSController().measure(cycles=1, **{lever: value})
 
     def test_next_timer_target(self, baseline_platform):
         baseline_platform.boot()
