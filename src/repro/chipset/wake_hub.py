@@ -37,7 +37,7 @@ class WakeHub:
         """True while the chipset owns wake events (platform in ODRIPS)."""
         return self._owning
 
-    def set_wake_callback(self, callback: Callable[[WakeEvent], None]) -> None:
+    def set_wake_callback(self, callback: Optional[Callable[[WakeEvent], None]]) -> None:
         self._wake_callback = callback
 
     def take_ownership(self, timer_target: Optional[int]) -> Optional[int]:

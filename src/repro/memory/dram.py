@@ -48,7 +48,6 @@ class DRAMDevice:
         bus_efficiency: float = 0.7,
         self_refresh_watts_per_gib: float = 0.0055,
         active_standby_watts_per_gib: float = 0.055,
-        access_energy_pj_per_byte_at_1600: float = 40.0,
         base_access_latency_ps: int = 50_000,  # ~50 ns closed-page access
         power_component: Optional[Component] = None,
     ) -> None:
@@ -61,12 +60,10 @@ class DRAMDevice:
         self.bus_efficiency = bus_efficiency
         self.self_refresh_watts_per_gib = self_refresh_watts_per_gib
         self.active_standby_watts_per_gib = active_standby_watts_per_gib
-        self.access_energy_pj_per_byte_at_1600 = access_energy_pj_per_byte_at_1600
         self.base_access_latency_ps = base_access_latency_ps
         self.power_component = power_component
         self._store = SparseMemory(capacity_bytes)
         self._state = DRAMState.ACTIVE
-        self.access_energy_joules = 0.0
         self.bytes_read = 0
         self.bytes_written = 0
         self._update_power()
@@ -158,18 +155,11 @@ class DRAMDevice:
         streaming = length / self.bandwidth_bytes_per_s() * PICOSECONDS_PER_SECOND
         return self.base_access_latency_ps + round(streaming)
 
-    def _access_energy(self, length: int) -> float:
-        # Energy per byte falls slightly at lower frequency (less interface
-        # toggling), dominated by the array energy which is constant.
-        scale = 0.7 + 0.3 * self._frequency_scale()
-        return self.access_energy_pj_per_byte_at_1600 * 1e-12 * length * scale
-
     def read(self, address: int, length: int) -> tuple:
         """Read bytes; returns ``(data, latency_ps)``."""
         self._check_accessible()
         data = self._store.read(address, length)
         self.bytes_read += length
-        self.access_energy_joules += self._access_energy(length)
         return data, self.transfer_latency_ps(length)
 
     def write(self, address: int, data: bytes) -> int:
@@ -177,5 +167,4 @@ class DRAMDevice:
         self._check_accessible()
         self._store.write(address, data)
         self.bytes_written += len(data)
-        self.access_energy_joules += self._access_energy(len(data))
         return self.transfer_latency_ps(len(data))

@@ -96,7 +96,7 @@ class ProcessorPMU:
     def wake_target(self) -> Optional[int]:
         return self._wake_target
 
-    def set_wake_callback(self, callback: Callable[[int], None]) -> None:
+    def set_wake_callback(self, callback: Optional[Callable[[int], None]]) -> None:
         """``callback(target)`` fires when the monitored timer expires."""
         self._wake_callback = callback
 

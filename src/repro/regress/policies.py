@@ -123,6 +123,10 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "obs_stream_week", "enabled_overhead_frac", "ceiling", 0.25,
         "streaming a week-scale macro run must stay cheap enough to leave on",
     ),
+    BenchPolicy(
+        "mee_bulk_context", "speedup", "floor", 5.0,
+        "the batched MEE bulk path must beat a tree walk per 64 B block",
+    ),
 )
 
 

@@ -12,7 +12,7 @@ A small set-associative LRU cache keyed by (level, index).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.errors import SecurityError
 
@@ -69,6 +69,20 @@ class MEECache:
     def invalidate(self, key: CacheKey) -> None:
         """Drop one entry (used when a write bumps a counter)."""
         self._set_of(key).pop(key, None)
+
+    def invalidate_spans(self, spans: Sequence[Tuple[int, int]]) -> None:
+        """Drop every entry ``(level, index)`` with ``lo <= index <= hi``
+        for ``(lo, hi) = spans[level]`` (used when a bulk write bumps a
+        range of counters).  One sweep over the cache, however many
+        entries the spans name."""
+        for line in self._lines.values():
+            stale = [
+                (level, index)
+                for level, index in line
+                if level < len(spans) and spans[level][0] <= index <= spans[level][1]
+            ]
+            for key in stale:
+                del line[key]
 
     def flush(self) -> None:
         """Drop everything (MEE power cycle)."""

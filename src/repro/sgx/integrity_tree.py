@@ -17,8 +17,9 @@ makes the MEE-cache ablation measurable.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SecurityError
 from repro.sgx.cache import MEECache
@@ -28,6 +29,13 @@ BLOCK_SIZE = 64
 ARITY = 8
 COUNTER_BYTES = 8
 MAC_BYTES = 8
+RECORD_BYTES = COUNTER_BYTES + MAC_BYTES  # one interior node: counter + MAC
+_COUNTER_MASK = (1 << 64) - 1
+
+
+def _pack_counters(values: Sequence[int]) -> bytes:
+    """Serialize consecutive counters (the :func:`pack_counter` layout)."""
+    return struct.pack(f">{len(values)}Q", *(value & _COUNTER_MASK for value in values))
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,14 @@ class IntegrityTree:
         label = f"node:{level}:{index}".encode("ascii")
         return (label, pack_counter(counter), children)
 
+    def _leaf_mac_input(self, block: int, version: int, ciphertext: bytes) -> tuple:
+        address = self.geometry.block_address(block)
+        return (b"data", pack_counter(address), pack_counter(version), ciphertext)
+
+    def leaf_mac(self, block: int, version: int, ciphertext: bytes) -> bytes:
+        """The MAC binding ``(block address, version, ciphertext)``."""
+        return self.mac_key.tag(*self._leaf_mac_input(block, version, ciphertext))
+
     # --- verification walk ------------------------------------------------------------
 
     def verify_block(self, block: int, ciphertext: bytes) -> int:
@@ -205,10 +221,7 @@ class IntegrityTree:
             else unpack_counter(self._read(geometry.version_address(block), COUNTER_BYTES))
         )
         stored_mac = self._read(geometry.leaf_mac_address(block), MAC_BYTES)
-        address = geometry.block_address(block)
-        if not self.mac_key.verify(
-            stored_mac, b"data", pack_counter(address), pack_counter(version), ciphertext
-        ):
+        if not self.mac_key.verify(stored_mac, *self._leaf_mac_input(block, version, ciphertext)):
             raise SecurityError(f"data MAC mismatch on block {block}")
         if version_cached is not None:
             return version  # the version itself was trusted; done
@@ -268,11 +281,7 @@ class IntegrityTree:
         """
         geometry = self.geometry
         self._write(geometry.version_address(block), pack_counter(new_version))
-        address = geometry.block_address(block)
-        leaf_mac = self.mac_key.tag(
-            b"data", pack_counter(address), pack_counter(new_version), ciphertext
-        )
-        self._write(geometry.leaf_mac_address(block), leaf_mac)
+        self._write(geometry.leaf_mac_address(block), self.leaf_mac(block, new_version, ciphertext))
         if self.cache is not None:
             self.cache.insert((0, block), new_version)
 
@@ -290,37 +299,164 @@ class IntegrityTree:
             child_index = index
         self.root_counter += 1
 
+    # --- range passes (bulk transfers) --------------------------------------------------
+
+    def _level_size(self, level: int) -> int:
+        """Entries at ``level``: leaf versions at 0, interior nodes above."""
+        if level == 0:
+            return self.geometry.data_blocks
+        return self.geometry.level_counts[level - 1]
+
+    def _sibling_span(self, level: int, lo: int, hi: int) -> Tuple[int, int]:
+        """``[start, stop)`` of the whole sibling groups holding entries ``lo..hi``."""
+        return lo - lo % ARITY, min(hi - hi % ARITY + ARITY, self._level_size(level))
+
+    def _read_counters(self, level: int, start: int, stop: int) -> Tuple[List[int], bytes]:
+        """Counters of entries ``start..stop-1`` at ``level`` (one read) and the raw bytes."""
+        count = stop - start
+        if level == 0:
+            raw = self._read(self.geometry.version_address(start), count * COUNTER_BYTES)
+            return list(struct.unpack(f">{count}Q", raw)), raw
+        raw = self._read(self.geometry.node_address(level, start), count * RECORD_BYTES)
+        return list(struct.unpack(f">{2 * count}Q", raw)[0::2]), raw
+
+    @staticmethod
+    def _child_bytes(children: List[int], start: int, index: int) -> bytes:
+        """MAC input of node ``index``'s children; ``children[0]`` is entry ``start``."""
+        first = index * ARITY - start
+        present = children[first : first + ARITY]
+        return _pack_counters(present) + pack_counter(0) * (ARITY - len(present))
+
+    def read_versions(self, first: int, count: int) -> List[int]:
+        """Leaf versions of blocks ``first..first+count-1`` (one read, unverified)."""
+        return self._read_counters(0, first, first + count)[0]
+
+    def update_range(self, first: int, versions: Sequence[int], ciphertext: bytes) -> None:
+        """:meth:`update_block` for consecutive blocks, one pass per tree level.
+
+        Installs ``versions[i]`` and the MAC of ``ciphertext``'s block ``i``
+        for block ``first + i``.  Leaves the same DRAM image and root
+        counter as one :meth:`update_block` per block: each touched node's
+        counter grows by the number of updated blocks beneath it and is
+        re-MACed once, over its final children.  Cached counters of every
+        touched entry are dropped.
+        """
+        geometry = self.geometry
+        self._write(geometry.version_address(first), _pack_counters(versions))
+        self._write(
+            geometry.leaf_mac_address(first),
+            b"".join(
+                self.leaf_mac(first + i, version, ciphertext[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE])
+                for i, version in enumerate(versions)
+            ),
+        )
+        lo, hi = first, first + len(versions) - 1
+        spans = [(lo, hi)]
+        start, stop = self._sibling_span(0, lo, hi)
+        children = self._read_counters(0, start, stop)[0]
+        bumps = [1] * len(versions)
+        for level in range(1, geometry.levels + 1):
+            parent_lo, parent_hi = lo // ARITY, hi // ARITY
+            parent_bumps = [0] * (parent_hi - parent_lo + 1)
+            for child, bump in enumerate(bumps, lo):
+                parent_bumps[child // ARITY - parent_lo] += bump
+            node_start, node_stop = self._sibling_span(level, parent_lo, parent_hi)
+            counters = self._read_counters(level, node_start, node_stop)[0]
+            records = []
+            for index, bump in enumerate(parent_bumps, parent_lo):
+                counter = (counters[index - node_start] + bump) & _COUNTER_MASK
+                counters[index - node_start] = counter
+                mac = self.mac_key.tag(
+                    *self._node_mac_input(
+                        level, index, counter, self._child_bytes(children, start, index)
+                    )
+                )
+                records.append(pack_counter(counter) + mac)
+            self._write(geometry.node_address(level, parent_lo), b"".join(records))
+            lo, hi, bumps = parent_lo, parent_hi, parent_bumps
+            children, start = counters, node_start
+            spans.append((lo, hi))
+        self.root_counter += len(versions)
+        if self.cache is not None:
+            self.cache.invalidate_spans(spans)
+
+    def verify_range(self, first: int, ciphertext: bytes) -> List[int]:
+        """:meth:`verify_block` for consecutive blocks; returns their versions.
+
+        ``ciphertext`` holds whole blocks from ``first``.  Every block's MAC
+        is checked, then every touched node once, bottom-up, up to the top
+        counter, which must equal the on-chip root.  The MEE cache is
+        neither consulted nor filled: the walk always reaches the root.
+        Raises :class:`~repro.errors.SecurityError` on any mismatch.
+        """
+        geometry = self.geometry
+        lo, hi = first, first + len(ciphertext) // BLOCK_SIZE - 1
+        start, stop = self._sibling_span(0, lo, hi)
+        children = self._read_counters(0, start, stop)[0]
+        versions = children[lo - start : hi - start + 1]
+        stored = self._read(geometry.leaf_mac_address(first), len(versions) * MAC_BYTES)
+        for i, version in enumerate(versions):
+            block = first + i
+            block_ciphertext = ciphertext[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
+            if not self.mac_key.verify(
+                stored[i * MAC_BYTES : (i + 1) * MAC_BYTES],
+                *self._leaf_mac_input(block, version, block_ciphertext),
+            ):
+                raise SecurityError(f"data MAC mismatch on block {block}")
+        for level in range(1, geometry.levels + 1):
+            lo, hi = lo // ARITY, hi // ARITY
+            node_start, node_stop = self._sibling_span(level, lo, hi)
+            counters, raw = self._read_counters(level, node_start, node_stop)
+            for index in range(lo, hi + 1):
+                at = index - node_start
+                stored_mac = raw[at * RECORD_BYTES + COUNTER_BYTES : (at + 1) * RECORD_BYTES]
+                if not self.mac_key.verify(
+                    stored_mac,
+                    *self._node_mac_input(
+                        level, index, counters[at], self._child_bytes(children, start, index)
+                    ),
+                ):
+                    raise SecurityError(f"tree MAC mismatch at level {level} node {index}")
+            children, start = counters, node_start
+        if children[0] != self.root_counter:
+            raise SecurityError(
+                f"root counter mismatch: DRAM={children[0]} on-chip={self.root_counter}"
+            )
+        return versions
+
     # --- initialization ------------------------------------------------------------------------
 
-    def initialize(self, block_ciphertext=None) -> None:
+    def initialize(self, leaf_macs: Optional[bytes] = None) -> None:
         """Write a consistent version-0 metadata state (region setup).
 
         Every leaf version is 0 with a valid MAC over the block's initial
         ciphertext, every node counter is 0 with a valid MAC over its
-        children — so the very first verified read of an untouched block
-        succeeds.  ``block_ciphertext(block) -> bytes`` supplies the
-        initial ciphertext of each block (the MEE passes encrypted
-        zeros); by default the raw zero block is assumed.
+        (all-zero) children — so the very first verified read of an
+        untouched block succeeds.  ``leaf_macs`` concatenates every
+        block's version-0 MAC (:meth:`leaf_mac` of its initial ciphertext;
+        the MEE passes those of encrypted zeros); by default each block is
+        assumed to hold the raw zero block.  Each metadata array is
+        written in one access.
         """
         geometry = self.geometry
-        zero_block = bytes(BLOCK_SIZE)
-        for block in range(geometry.data_blocks):
-            self._write(geometry.version_address(block), pack_counter(0))
-            address = geometry.block_address(block)
-            ciphertext = (
-                block_ciphertext(block) if block_ciphertext is not None else zero_block
-            )
-            mac = self.mac_key.tag(
-                b"data", pack_counter(address), pack_counter(0), ciphertext
-            )
-            self._write(geometry.leaf_mac_address(block), mac)
+        blocks = geometry.data_blocks
+        if leaf_macs is None:
+            zero_block = bytes(BLOCK_SIZE)
+            leaf_macs = b"".join(self.leaf_mac(block, 0, zero_block) for block in range(blocks))
+        if len(leaf_macs) != blocks * MAC_BYTES:
+            raise SecurityError("initial leaf MACs do not cover the region")
+        self._write(geometry.versions_offset, bytes(blocks * COUNTER_BYTES))
+        self._write(geometry.leaf_macs_offset, leaf_macs)
+        zero_children = pack_counter(0) * ARITY
         for level in range(1, geometry.levels + 1):
-            for index in range(geometry.level_counts[level - 1]):
-                node_address = geometry.node_address(level, index)
-                self._write(node_address, pack_counter(0))
-                children = self._children_of(level, index)
-                mac = self.mac_key.tag(*self._node_mac_input(level, index, 0, children))
-                self._write(node_address + COUNTER_BYTES, mac)
+            self._write(
+                geometry.level_offset(level),
+                b"".join(
+                    pack_counter(0)
+                    + self.mac_key.tag(*self._node_mac_input(level, index, 0, zero_children))
+                    for index in range(geometry.level_counts[level - 1])
+                ),
+            )
         self.root_counter = 0
         if self.cache is not None:
             self.cache.flush()

@@ -4,10 +4,17 @@ Every access to the protected region goes through here (Fig. 4): writes
 are encrypted and authenticated, reads are decrypted after the integrity
 tree confirms both the MAC and the freshness of the version counter.
 
-Latency model: the crypto pipeline adds a fixed per-block latency and the
-tree walk adds real (modeled) DRAM metadata accesses — serialized, which
-is pessimistic but shape-preserving.  The MEE cache shortcuts the walk on
-hits, which is what the cache-size ablation measures.
+Two functional paths share one DRAM layout and produce the same bytes:
+
+* per block (:meth:`~MemoryEncryptionEngine.write`/``read``) — random
+  access.  The crypto pipeline adds a fixed per-block latency and the
+  tree walk adds real (modeled) DRAM metadata accesses — serialized,
+  which is pessimistic but shape-preserving.  The MEE cache shortcuts the
+  walk on hits, which is what the cache-size ablation measures.
+* bulk (``bulk_write``/``bulk_read``) — the save/restore FSMs.  The
+  range moves as contiguous arrays and the tree is updated or verified
+  in one pass per level; the latency is the pipelined closed form of
+  Sec. 6.3.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Optional, Tuple
 
 from repro.errors import SecurityError
 from repro.sgx.cache import MEECache
-from repro.sgx.crypto import CtrCipher, MacKey, derive_key
+from repro.sgx.crypto import XOR_GROUP_BLOCKS, CtrCipher, MacKey, derive_key
 from repro.sgx.integrity_tree import BLOCK_SIZE, IntegrityTree, TreeGeometry
 
 
@@ -51,9 +58,6 @@ class MemoryEncryptionEngine:
     #: depth at memory-controller clock; same order as Gueron reports).
     CRYPTO_LATENCY_PS = 25_000
 
-    #: Dynamic energy of the engine per byte processed (pJ/byte).
-    CRYPTO_ENERGY_PJ_PER_BYTE = 5.0
-
     def __init__(
         self,
         device,
@@ -80,15 +84,19 @@ class MemoryEncryptionEngine:
         block, so a fresh region reads back as zeros through the engine —
         and the at-rest bytes are still keystream, never plaintext.
         """
-        zero_block = bytes(BLOCK_SIZE)
-
-        def initial_ciphertext(block: int) -> bytes:
-            address = self.geometry.block_address(block)
-            ciphertext = self._cipher.encrypt(address, 0, zero_block)
-            self.device.write(address, ciphertext)
-            return ciphertext
-
-        self.tree.initialize(initial_ciphertext)
+        geometry = self.geometry
+        leaf_macs = bytearray()
+        for start in range(0, geometry.data_blocks, XOR_GROUP_BLOCKS):
+            blocks = range(start, min(start + XOR_GROUP_BLOCKS, geometry.data_blocks))
+            # an encrypted zero block is its keystream
+            image = [
+                self._cipher.keystream(geometry.block_address(block), 0, BLOCK_SIZE)
+                for block in blocks
+            ]
+            self.device.write(geometry.block_address(start), b"".join(image))
+            for block, ciphertext in zip(blocks, image):
+                leaf_macs += self.tree.leaf_mac(block, 0, ciphertext)
+        self.tree.initialize(bytes(leaf_macs))
         self._initialized = True
 
     @property
@@ -248,15 +256,21 @@ class MemoryEncryptionEngine:
     def bulk_write(self, offset: int, data: bytes) -> int:
         """Write a large contiguous range the way the save FSM does.
 
-        The functional path is identical to :meth:`write` (every block is
-        really encrypted, MAC'd, and tree-updated), but the returned
-        latency models the *pipelined* engine with a write-back metadata
-        cache: data and metadata stream over the memory bus back-to-back
-        instead of serializing a full tree walk per block.  This is the
+        Functionally batched: the old versions, ciphertext, new versions
+        and leaf MACs each move as one contiguous array, and the tree is
+        updated in one pass per level (:meth:`IntegrityTree.update_range`).
+        A partial first or last block is a verified read-modify-write, as
+        in :meth:`write`.  The DRAM image, root counter and :class:`MEEStats`
+        end up identical to :meth:`write`'s.  The returned latency models
+        the *pipelined* engine with a write-back metadata cache: data and
+        metadata stream over the memory bus back-to-back.  This is the
         model behind the paper's ~18 us save of a 200 KB context to
         DDR3-1600 (Sec. 6.3).
         """
-        self.write(offset, data)  # functional effect; serialized latency ignored
+        self._check_ready()
+        self._check_bounds(offset, len(data))
+        if data:
+            self._write_range(offset, data)
         blocks, nodes = self._touched_geometry(offset, len(data))
         # Per block: read the old version (8 B), write version + MAC (16 B).
         leaf_bytes = blocks * (8 + self.LEAF_ENTRY_BYTES)
@@ -266,16 +280,55 @@ class MemoryEncryptionEngine:
         streaming = bus_bytes / self._bandwidth(write=True) * 1e12
         return self.BULK_FILL_LATENCY_PS + round(streaming)
 
+    def _write_range(self, offset: int, data: bytes) -> None:
+        first = offset // BLOCK_SIZE
+        plaintext = self._whole_blocks(offset, data)
+        count = len(plaintext) // BLOCK_SIZE
+        versions = [version + 1 for version in self.tree.read_versions(first, count)]
+        address = self.geometry.block_address(first)
+        ciphertext = self._cipher.crypt_blocks(address, versions, plaintext, BLOCK_SIZE)
+        self.device.write(address, ciphertext)
+        self.tree.update_range(first, versions, ciphertext)
+        self.stats.crypto_latency_ps += count * self.CRYPTO_LATENCY_PS
+        self.stats.blocks_written += count
+        self.stats.bytes_written += len(data)
+
+    def _whole_blocks(self, offset: int, data: bytes) -> bytes:
+        """``data`` widened to whole blocks with the bytes already around it.
+
+        A partial first or last block is read (and verified) first, as
+        :meth:`write`'s read-modify-write does.
+        """
+        head = offset % BLOCK_SIZE
+        tail = -(offset + len(data)) % BLOCK_SIZE
+        if not head and not tail:
+            return data
+        first = offset // BLOCK_SIZE
+        last = (offset + len(data) - 1) // BLOCK_SIZE
+        edges = [first] if head else []
+        if tail and last not in edges:
+            edges.append(last)
+        old = {block: self._read_block(block)[0] for block in edges}
+        prefix = old[first][:head] if head else b""
+        suffix = old[last][BLOCK_SIZE - tail :] if tail else b""
+        return prefix + data + suffix
+
     def bulk_read(self, offset: int, length: int) -> Tuple[bytes, int]:
         """Read a large contiguous range the way the restore FSM does.
 
-        Functional path identical to :meth:`read` (full verification);
-        latency modeled as a pipelined stream: ciphertext plus one pass
+        Functionally batched with full verification: ciphertext, versions
+        and leaf MACs are read as contiguous arrays, every block's MAC is
+        checked, every touched node is verified once up to the on-chip
+        root (:meth:`IntegrityTree.verify_range`), and any failure raises
+        :class:`~repro.errors.SecurityError` as :meth:`read` does.  The
+        latency is modeled as a pipelined stream: ciphertext plus one pass
         over the touched metadata (leaf entries and interior nodes are
         contiguous arrays, so they stream at full bandwidth).  This is the
         model behind the paper's ~13 us restore (Sec. 6.3).
         """
-        data, _serialized = self.read(offset, length)
+        self._check_ready()
+        self._check_bounds(offset, length)
+        data = self._read_range(offset, length) if length else b""
         blocks, nodes = self._touched_geometry(offset, length)
         leaf_bytes = blocks * self.LEAF_ENTRY_BYTES
         node_bytes = nodes * self.NODE_ENTRY_BYTES
@@ -283,9 +336,19 @@ class MemoryEncryptionEngine:
         streaming = bus_bytes / self._bandwidth(write=False) * 1e12
         return data, self.BULK_FILL_LATENCY_PS + round(streaming)
 
-    # --- accounting -----------------------------------------------------------------
-
-    def crypto_energy_joules(self) -> float:
-        """Dynamic energy the engine consumed on its crypto pipeline."""
-        processed = self.stats.bytes_read + self.stats.bytes_written
-        return processed * self.CRYPTO_ENERGY_PJ_PER_BYTE * 1e-12
+    def _read_range(self, offset: int, length: int) -> bytes:
+        first = offset // BLOCK_SIZE
+        count = (offset + length - 1) // BLOCK_SIZE - first + 1
+        address = self.geometry.block_address(first)
+        ciphertext, _latency = self.device.read(address, count * BLOCK_SIZE)
+        try:
+            versions = self.tree.verify_range(first, ciphertext)
+        except SecurityError:
+            self.stats.integrity_violations += 1
+            raise
+        self.stats.crypto_latency_ps += count * self.CRYPTO_LATENCY_PS
+        self.stats.blocks_read += count
+        self.stats.bytes_read += length
+        plaintext = self._cipher.crypt_blocks(address, versions, ciphertext, BLOCK_SIZE)
+        head = offset % BLOCK_SIZE
+        return plaintext[head : head + length]

@@ -140,10 +140,26 @@ class FlowController:
         #: Wake event of the current standby cycle (causal root for the
         #: exit flow it triggers and the entry flow that closes the cycle).
         self._last_wake_event: Optional[WakeEvent] = None
-        platform.pmu.set_wake_callback(self._on_pmu_timer_wake)
-        platform.chipset.wake_hub.set_wake_callback(self._on_hub_wake)
+        self.attach()
 
     # --- wiring ---------------------------------------------------------------
+
+    def attach(self) -> None:
+        """Route the platform's PMU-timer and wake-hub wakes to this controller."""
+        self.platform.pmu.set_wake_callback(self._on_pmu_timer_wake)
+        self.platform.chipset.wake_hub.set_wake_callback(self._on_hub_wake)
+
+    def detach(self) -> None:
+        """Undo :meth:`attach` and drop the active callback.
+
+        The wake callbacks close a reference cycle (platform -> PMU -> this
+        controller -> platform).  Detached, a finished platform and its
+        memory images are freed as soon as the last reference goes, not at
+        the interpreter's next cyclic garbage collection.
+        """
+        self.platform.pmu.set_wake_callback(None)
+        self.platform.chipset.wake_hub.set_wake_callback(None)
+        self._active_callback = None
 
     def set_active_callback(self, callback: Callable[[WakeEvent], None]) -> None:
         """``callback(event)`` fires when an exit flow reaches Active."""

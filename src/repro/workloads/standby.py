@@ -114,7 +114,6 @@ class ConnectedStandbyRunner:
             config = macro if isinstance(macro, MacroConfig) else None
             self._macro_engine = MacroEngine(platform, config)
         self.flows = FlowController(platform)
-        self.flows.set_active_callback(self._on_active)
         self._cycles_target = 0
         self._cycles_done = 0
         self._warmup = 0
@@ -271,9 +270,14 @@ class ConnectedStandbyRunner:
         # capture the telemetry stream once per run; disabled cost is one
         # attribute check per cycle in _on_active
         self._stream = current().stream
-        self._start_cycle()
-        # generous event budget: each cycle is a handful of events
-        p.kernel.run(max_events=self._cycles_target * 10_000 + 100_000)
+        self.flows.attach()
+        self.flows.set_active_callback(self._on_active)
+        try:
+            self._start_cycle()
+            # generous event budget: each cycle is a handful of events
+            p.kernel.run(max_events=self._cycles_target * 10_000 + 100_000)
+        finally:
+            self.flows.detach()
         if not self._finished:
             raise WorkloadError("standby run did not complete; event budget exhausted")
         if len(p.wake_log) < warmup_cycles + cycles + 1:

@@ -1,5 +1,9 @@
 """Tests for the MEE crypto primitives."""
 
+import hashlib
+import hmac
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +66,29 @@ class TestCtrCipher:
         assert self.cipher.decrypt(address, version, ciphertext) == data
 
 
+    def test_keystream_is_hmac_sha256_of_address_version_index(self):
+        key = derive_key(MASTER, "enc")
+        expected = b"".join(
+            hmac.new(key, struct.pack(">QQI", 0x4000, 3, index), hashlib.sha256).digest()
+            for index in range(3)
+        )[:70]
+        assert self.cipher.keystream(0x4000, 3, 70) == expected
+
+    def test_crypt_blocks_matches_per_block_encrypt(self):
+        versions = [1, 5, 2, 9]
+        data = bytes(range(256))
+        expected = b"".join(
+            self.cipher.encrypt(0x8000 + 64 * i, version, data[64 * i : 64 * (i + 1)])
+            for i, version in enumerate(versions)
+        )
+        assert self.cipher.crypt_blocks(0x8000, versions, data, 64) == expected
+        assert self.cipher.crypt_blocks(0x8000, versions, expected, 64) == data
+
+    def test_crypt_blocks_rejects_length_mismatch(self):
+        with pytest.raises(SecurityError):
+            self.cipher.crypt_blocks(0, [1, 2], bytes(64), 64)
+
+
 class TestMac:
     def setup_method(self):
         self.mac = MacKey(derive_key(MASTER, "mac"))
@@ -81,6 +108,13 @@ class TestMac:
     def test_different_keys_different_tags(self):
         other = MacKey(derive_key(MASTER, "other"))
         assert self.mac.tag(b"data") != other.tag(b"data")
+
+    @pytest.mark.parametrize("key_length", [16, 32, 64, 100])
+    def test_tag_is_truncated_hmac_sha256(self, key_length):
+        key = bytes(range(key_length))
+        message = struct.pack(">I", 1) + b"a" + struct.pack(">I", 2) + b"bc"
+        expected = hmac.new(key, message, hashlib.sha256).digest()[:8]
+        assert MacKey(key).tag(b"a", b"bc") == expected
 
     def test_tag_length(self):
         assert len(self.mac.tag(b"x")) == 8

@@ -100,3 +100,27 @@ class TestExternalWakes:
                              maintenance_s=0.02, external_wakes=True)
         result = runner.run(cycles=2)
         assert any("network" in event for event in result.wake_events)
+
+
+class TestPlatformRelease:
+    def test_finished_platform_freed_without_cyclic_gc(self):
+        """The flow controller detaches when the run ends, so nothing
+        cyclic keeps the platform (and its memory images) alive."""
+        import gc
+        import weakref
+
+        runner = make_runner(TechniqueSet.odrips())
+        runner.run(cycles=1)
+        platform = weakref.ref(runner.platform)
+        gc.disable()
+        try:
+            del runner
+            assert platform() is None
+        finally:
+            gc.enable()
+
+    def test_runner_reattaches_on_the_next_run(self):
+        runner = make_runner()
+        first = runner.run(cycles=1)
+        second = runner.run(cycles=1)  # wakes need the flow controller again
+        assert len(second.wake_events) > len(first.wake_events)
