@@ -59,7 +59,7 @@ from repro.check.effects import (
 )
 from repro.check.explore import DEFAULT_MAX_STATES, ExploreResult, explore
 from repro.check.invariants import BUILTIN_INVARIANTS, Invariant, select_invariants
-from repro.check.rules import CHECK_RULES, CheckRule
+from repro.check.rules import CHECK_RULES
 from repro.check.schema import validate_check_payload
 from repro.check.ts import ComposedState, TransitionSystem, compile_transition_system
 
@@ -207,7 +207,6 @@ __all__ = [
     "CHECK_RULES",
     "CHECK_SCHEMA_VERSION",
     "CheckReport",
-    "CheckRule",
     "ComposedState",
     "DEFAULT_MAX_STATES",
     "EFFECTS_SCHEMA_VERSION",

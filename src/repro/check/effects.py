@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.effects import EFFECT_KINDS
 from repro.lint.astcache import ModuleCache, ParsedModule, PathLike, default_source_root
-from repro.lint.diagnostics import Diagnostic, sort_diagnostics
+from repro.lint.diagnostics import Diagnostic, Rule, sort_diagnostics
 from repro.lint.source import _suppressed
 from repro.check.callgraph import (
     CallGraph,
@@ -75,7 +75,6 @@ from repro.check.rules import (
     C514_RULE,
     C521_RULE,
     C522_RULE,
-    CheckRule,
 )
 
 #: Schema version of the JSON effects summary.
@@ -594,7 +593,7 @@ class EffectAnalysis:
 
     # --- gating -----------------------------------------------------------
 
-    def _rule_for(self, entry_kind: str, key: EffectKey) -> Optional[CheckRule]:
+    def _rule_for(self, entry_kind: str, key: EffectKey) -> Optional[Rule]:
         kind, category = key
         if kind == "order":
             return C521_RULE if category == "iterate" else C522_RULE

@@ -8,8 +8,10 @@ one set probe).  The walk produces:
 * **C101 deadlock** — a reachable state with no outgoing edge.  When a
   flow step's ``requires`` blocked the only edge, the diagnostic names
   the step and the already-gated domains it needed.
-* **C102 unreachable-step** — a declared flow step no explored edge ever
-  executed (dead spec), and flows attached to no FSM state at all.
+* **C102 unreachable-step** — a declared FSM state the walk never
+  visits, a declared flow step no explored edge ever executed (dead
+  spec), and flows attached to no FSM state at all.  An unreached active
+  state is left to C101/C103: one of them always explains it.
 * **C103 livelock** — reachable states from which no path ever
   re-reaches the active state: the platform cycles but never wakes.
 * **C2xx invariant violations** — each enabled
@@ -156,7 +158,7 @@ def explore(
     result.states_explored = len(successors_of)
 
     if not result.truncated:
-        _report_unreachable_steps(ts, result)
+        _report_unreachable(ts, result, {state.fsm for state in successors_of})
         _report_livelocks(ts, result, parents, reverse, successors_of)
     else:
         diagnostics.append(
@@ -173,7 +175,26 @@ def explore(
     return result
 
 
-def _report_unreachable_steps(ts: TransitionSystem, result: ExploreResult) -> None:
+def _report_unreachable(
+    ts: TransitionSystem, result: ExploreResult, visited: Set[str]
+) -> None:
+    """C102: FSM states and flow steps the exhaustive walk never reached.
+
+    A never-visited active state is skipped: every reachable state then
+    fails to return to it, which C101 or C103 already reports.  Flows of
+    unreached states are reported with their state, not step by step.
+    """
+    unreached = [
+        name for name in ts.state_names if name not in visited and name != ts.active
+    ]
+    for name in unreached:
+        result.diagnostics.append(
+            C102_RULE.diagnostic(
+                f"platform state {name!r} is never reached from {ts.initial.fsm!r}",
+                obj=f"fsm state {name}",
+                hint="add the missing transition or delete the dead state",
+            )
+        )
     detached = set(ts.detached_flows)
     for flow_name in sorted(detached):
         result.diagnostics.append(
@@ -184,8 +205,9 @@ def _report_unreachable_steps(ts: TransitionSystem, result: ExploreResult) -> No
                 hint="flow names must match an FSM state (e.g. 'entry' for ENTRY)",
             )
         )
+    skipped = detached | {ts.flow_for_state.get(name) for name in unreached}
     for flow_name, label in iter_flow_steps(ts):
-        if flow_name in detached:
+        if flow_name in skipped:
             continue  # already reported wholesale
         if (flow_name, label) not in result.executed_steps:
             result.diagnostics.append(

@@ -34,8 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.check.rules import C201_RULE, C202_RULE, C203_RULE, C204_RULE, CheckRule
+from repro.check.rules import C201_RULE, C202_RULE, C203_RULE, C204_RULE
 from repro.check.ts import ComposedState, TransitionSystem
+from repro.errors import ConfigError
+from repro.lint.diagnostics import Rule
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class Invariant:
     """
 
     name: str
-    rule: CheckRule
+    rule: Rule
     description: str
     check: Callable[[TransitionSystem, ComposedState], Optional[str]]
 
@@ -136,13 +138,16 @@ INVARIANTS_BY_NAME: Dict[str, Invariant] = {inv.name: inv for inv in BUILTIN_INV
 
 
 def select_invariants(names: Optional[Tuple[str, ...]] = None) -> Tuple[Invariant, ...]:
-    """Resolve ``--invariants`` names to catalog entries (all by default)."""
+    """Resolve ``--invariants`` names to catalog entries (all by default).
+
+    Unknown names raise :class:`~repro.errors.ConfigError`.
+    """
     if names is None:
         return BUILTIN_INVARIANTS
     unknown = [name for name in names if name not in INVARIANTS_BY_NAME]
     if unknown:
         known = ", ".join(sorted(INVARIANTS_BY_NAME))
-        raise ValueError(
+        raise ConfigError(
             f"unknown invariant(s): {', '.join(sorted(unknown))} (known: {known})"
         )
     return tuple(INVARIANTS_BY_NAME[name] for name in names)

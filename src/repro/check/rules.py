@@ -1,14 +1,16 @@
 """Rule catalog of the exhaustive model checker (``C-series``).
 
-Three families, reported through the shared
-:class:`~repro.lint.diagnostics.Diagnostic` framework and registered in
-the same rule registry the lint CLI validates ``--select`` patterns
-against:
+Five families, each a :class:`~repro.lint.diagnostics.Rule` reported
+through the shared :class:`~repro.lint.diagnostics.Diagnostic` framework
+and registered in the one rule registry (:func:`repro.lint.all_rules`)
+that both ``repro lint`` and ``repro check`` validate ``--select``
+patterns against:
 
-* ``C1xx`` — state-space structure: deadlocks, unreachable flow steps,
-  livelock cycles that never re-reach the active state, truncated
-  exploration, and compile-time binding errors (unknown clocks, safety
-  declarations naming unknown objects).
+* ``C1xx`` — state-space structure: deadlocks, FSM states and flow
+  steps the exploration never reaches, livelock cycles that never
+  re-reach the active state, truncated exploration, and compile-time
+  binding errors (unknown clocks, safety declarations naming unknown
+  objects).
 * ``C2xx`` — safety-invariant violations found in a reachable composed
   state (see :mod:`repro.check.invariants` for the invariant catalog).
 * ``C4xx`` — interprocedural unit-dataflow findings of
@@ -25,97 +27,68 @@ against:
   powers, then verifies the declared wake-latency budgets, break-even
   residencies, and per-cycle energy bounds (``budget_description()``).
 
-Rule ids must never collide with the ``M``/``S`` series; the shared
-registry (:func:`repro.lint.all_rules`) asserts uniqueness in the gate
-tests.
+Rule ids must never collide with the ``M``/``S`` series; the gate tests
+assert the registry's ids are unique.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from repro.lint.diagnostics import Diagnostic, Location, Severity
-
-
-@dataclass(frozen=True)
-class CheckRule:
-    """Identity of one checker rule (the check logic lives elsewhere)."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    summary: str
-
-    def diagnostic(
-        self,
-        message: str,
-        obj: Optional[str] = None,
-        hint: str = "",
-        file: Optional[str] = None,
-        line: Optional[int] = None,
-    ) -> Diagnostic:
-        return Diagnostic(
-            rule=self.rule_id,
-            name=self.name,
-            severity=self.severity,
-            message=message,
-            location=Location(file=file, line=line, obj=obj),
-            hint=hint or None,
-        )
+from repro.lint.diagnostics import Rule, Severity
 
 
-C101_RULE = CheckRule(
+C101_RULE = Rule(
     "C101", "deadlock", Severity.ERROR,
     "reachable composed state with no outgoing transition",
 )
-C102_RULE = CheckRule(
+C102_RULE = Rule(
     "C102", "unreachable-step", Severity.ERROR,
-    "declared flow step never executed in the reachable state space",
+    "declared FSM state or flow step never reached in the reachable state space",
 )
-C103_RULE = CheckRule(
+C103_RULE = Rule(
     "C103", "livelock", Severity.ERROR,
     "reachable cycle that never re-reaches the active state",
 )
-C104_RULE = CheckRule(
+C104_RULE = Rule(
     "C104", "state-space-truncated", Severity.WARNING,
     "exploration hit the --max-states bound before exhausting the space",
 )
-C105_RULE = CheckRule(
+C105_RULE = Rule(
     "C105", "flow-unknown-clock", Severity.ERROR,
     "flow step references a clock that does not exist",
 )
-C106_RULE = CheckRule(
+C106_RULE = Rule(
     "C106", "unknown-safety-reference", Severity.ERROR,
     "safety declaration references an unknown domain or clock",
 )
 
-C201_RULE = CheckRule(
+C201_RULE = Rule(
     "C201", "clock-gated-while-live", Severity.ERROR,
     "a live domain's required clock source is gated",
 )
-C202_RULE = CheckRule(
+C202_RULE = Rule(
     "C202", "rails-not-restored", Severity.ERROR,
     "the active state is re-entered with domains still gated off",
 )
-C203_RULE = CheckRule(
+C203_RULE = Rule(
     "C203", "ledger-unbalanced", Severity.ERROR,
     "suspend/resume ledger not conserved across a closed walk",
 )
-C204_RULE = CheckRule(
+C204_RULE = Rule(
     "C204", "wake-source-unarmed", Severity.ERROR,
     "an idle state is reachable with every wake source torn down",
 )
 
-C401_RULE = CheckRule(
+C401_RULE = Rule(
     "C401", "call-unit-mismatch", Severity.ERROR,
     "argument unit disagrees with the parameter's declared unit",
 )
-C402_RULE = CheckRule(
+C402_RULE = Rule(
     "C402", "return-unit-mismatch", Severity.ERROR,
     "returned unit disagrees with the function's declared unit",
 )
-C403_RULE = CheckRule(
+C403_RULE = Rule(
     "C403", "arith-unit-mismatch", Severity.ERROR,
     "addition/subtraction mixes incompatible units",
 )
@@ -125,31 +98,31 @@ C403_RULE = CheckRule(
 # is memoized under a config fingerprint, so the cache key no longer
 # determines the value.  C508/C509 are reserved for future effect kinds.
 
-C501_RULE = CheckRule(
+C501_RULE = Rule(
     "C501", "cache-wallclock-read", Severity.ERROR,
     "host clock read reaches a fingerprint-cached result",
 )
-C502_RULE = CheckRule(
+C502_RULE = Rule(
     "C502", "cache-unseeded-rng", Severity.ERROR,
     "process-global/unseeded RNG reaches a fingerprint-cached result",
 )
-C503_RULE = CheckRule(
+C503_RULE = Rule(
     "C503", "cache-env-read", Severity.ERROR,
     "environment read reaches a fingerprint-cached result",
 )
-C504_RULE = CheckRule(
+C504_RULE = Rule(
     "C504", "cache-fs-access", Severity.ERROR,
     "filesystem access reaches a fingerprint-cached result",
 )
-C505_RULE = CheckRule(
+C505_RULE = Rule(
     "C505", "cache-net-access", Severity.ERROR,
     "network access reaches a fingerprint-cached result",
 )
-C506_RULE = CheckRule(
+C506_RULE = Rule(
     "C506", "cache-module-state", Severity.ERROR,
     "module-level or closure state mutated under a cached entry point",
 )
-C507_RULE = CheckRule(
+C507_RULE = Rule(
     "C507", "cache-identity-dependence", Severity.ERROR,
     "id()/hash()/pid dependence reaches a fingerprint-cached result",
 )
@@ -158,19 +131,19 @@ C507_RULE = CheckRule(
 # behavior depends on (or mutates) state that does not travel across
 # the process boundary.
 
-C511_RULE = CheckRule(
+C511_RULE = Rule(
     "C511", "parallel-shared-mutation", Severity.ERROR,
     "sweep worker mutates module-level state invisible across processes",
 )
-C512_RULE = CheckRule(
+C512_RULE = Rule(
     "C512", "parallel-unpicklable-capture", Severity.ERROR,
     "lambda or nested closure handed to a process-parallel sweep",
 )
-C513_RULE = CheckRule(
+C513_RULE = Rule(
     "C513", "parallel-accumulator-write", Severity.ERROR,
     "sweep worker accumulates into a module-level container",
 )
-C514_RULE = CheckRule(
+C514_RULE = Rule(
     "C514", "parallel-unseeded-rng", Severity.ERROR,
     "sweep worker draws from the process-global RNG (fork-correlated streams)",
 )
@@ -178,11 +151,11 @@ C514_RULE = CheckRule(
 # C521+ determinism hygiene: result assembly whose value can differ
 # between runs or backends with identical configuration.
 
-C521_RULE = CheckRule(
+C521_RULE = Rule(
     "C521", "order-dependent-result", Severity.ERROR,
     "set iteration order escapes into a result",
 )
-C522_RULE = CheckRule(
+C522_RULE = Rule(
     "C522", "order-dependent-accumulation", Severity.ERROR,
     "float accumulation over an unordered collection",
 )
@@ -192,30 +165,30 @@ C522_RULE = CheckRule(
 # flow-step latency and every resident state with its power-tree power,
 # then checks the numbers the platform declares via budget_description().
 
-C601_RULE = CheckRule(
+C601_RULE = Rule(
     "C601", "wake-budget-exceeded", Severity.ERROR,
     "worst-case exit-latency path exceeds the declared wake budget",
 )
-C602_RULE = CheckRule(
+C602_RULE = Rule(
     "C602", "residency-below-break-even", Severity.ERROR,
     "power state reachable with guaranteed residency below its break-even time",
 )
-C603_RULE = CheckRule(
+C603_RULE = Rule(
     "C603", "break-even-drift", Severity.ERROR,
     "declared break-even constant disagrees with the derived one beyond tolerance",
 )
-C604_RULE = CheckRule(
+C604_RULE = Rule(
     "C604", "missing-budget-declaration", Severity.ERROR,
     "deep power state has no parseable budget declaration",
 )
-C605_RULE = CheckRule(
+C605_RULE = Rule(
     "C605", "cycle-energy-above-golden", Severity.ERROR,
     "per-cycle energy lower bound exceeds the golden figure value",
 )
 
 
 #: The full checker catalog, in catalog order (registry + docs).
-CHECK_RULES: Tuple[CheckRule, ...] = (
+CHECK_RULES: Tuple[Rule, ...] = (
     C101_RULE,
     C102_RULE,
     C103_RULE,
@@ -248,6 +221,3 @@ CHECK_RULES: Tuple[CheckRule, ...] = (
     C604_RULE,
     C605_RULE,
 )
-
-#: Rule lookup by id (used by the invariant catalog).
-CHECK_RULES_BY_ID: Dict[str, CheckRule] = {rule.rule_id: rule for rule in CHECK_RULES}

@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.ablations import (
     context_store_ablation,
@@ -60,6 +60,8 @@ from repro.core.experiments import (
 )
 from repro.core.odrips import ODRIPSController
 from repro.core.techniques import TechniqueSet
+from repro.errors import ConfigError
+from repro.obs.stream import DEFAULT_HEARTBEAT_DIR
 
 
 def cmd_fig1b(args: argparse.Namespace) -> None:
@@ -75,11 +77,6 @@ def cmd_fig1b(args: argparse.Namespace) -> None:
                        title="Fig. 1(b) - DRIPS power breakdown"))
 
 
-def _cache_of(args: argparse.Namespace):
-    """The run-wide SimulationCache main() created for --cache, if any."""
-    return getattr(args, "cache_obj", None)
-
-
 def _cycles_of(args: argparse.Namespace) -> int:
     """Measured cycles for this run: ``--horizon DAYS`` wins over ``--cycles``.
 
@@ -87,7 +84,7 @@ def _cycles_of(args: argparse.Namespace) -> int:
     (idle interval + mean maintenance); week-scale horizons are only
     practical together with ``--macro``.
     """
-    horizon_days = getattr(args, "horizon", None)
+    horizon_days = args.horizon
     if horizon_days is None:
         return args.cycles
     from repro.config import StandbyWorkloadConfig
@@ -101,7 +98,7 @@ def _cycles_of(args: argparse.Namespace) -> int:
 
 def cmd_fig2(args: argparse.Namespace) -> None:
     result = fig2_connected_standby(
-        cycles=_cycles_of(args), cache=_cache_of(args), macro=args.macro
+        cycles=_cycles_of(args), cache=args.cache_obj, macro=args.macro
     )
     rows = [
         ["DRIPS residency", f"{result.drips_residency:.2%}", "99.5 %"],
@@ -115,7 +112,7 @@ def cmd_fig2(args: argparse.Namespace) -> None:
 
 def cmd_fig6a(args: argparse.Namespace) -> None:
     result = fig6a_techniques(
-        cycles=_cycles_of(args), cache=_cache_of(args), macro=args.macro
+        cycles=_cycles_of(args), cache=args.cache_obj, macro=args.macro
     )
     rows = [["Baseline (DRIPS)", f"{result.baseline_mw:.1f} mW", "-", "-"]]
     for row in result.rows:
@@ -137,7 +134,7 @@ def cmd_fig6b(args: argparse.Namespace) -> None:
     rows = []
     for row in fig6b_core_frequency(
         cycles=_cycles_of(args), macro=args.macro,
-        parallel=getattr(args, "parallel", False),
+        parallel=args.parallel,
     ):
         paper = "-" if row.paper_delta is None else f"{row.paper_delta:+.1%}"
         rows.append([f"{row.parameter:.1f} GHz", f"{row.average_power_mw:.2f} mW",
@@ -150,7 +147,7 @@ def cmd_fig6c(args: argparse.Namespace) -> None:
     rows = []
     for row in fig6c_dram_frequency(
         cycles=_cycles_of(args), macro=args.macro,
-        parallel=getattr(args, "parallel", False),
+        parallel=args.parallel,
     ):
         paper = "-" if row.paper_delta is None else f"{row.paper_delta:+.1%}"
         rows.append([f"{row.parameter / 1e9:.3f} GHz", f"{row.average_power_mw:.2f} mW",
@@ -162,7 +159,7 @@ def cmd_fig6c(args: argparse.Namespace) -> None:
 def cmd_fig6d(args: argparse.Namespace) -> None:
     rows = []
     for row in fig6d_emerging_memories(
-        cycles=_cycles_of(args), cache=_cache_of(args), macro=args.macro
+        cycles=_cycles_of(args), cache=args.cache_obj, macro=args.macro
     ):
         rows.append([row.label, f"{row.average_power_mw:.1f} mW",
                      f"{row.saving_vs_baseline:.1%}", f"{row.paper_saving:.1%}"])
@@ -274,7 +271,7 @@ def cmd_battery(args: argparse.Namespace) -> None:
         ("ODRIPS", TechniqueSet.odrips()),
         ("ODRIPS-PCM", TechniqueSet.odrips_pcm()),
     ]:
-        measurements[label] = ODRIPSController(techniques, cache=_cache_of(args)).measure(
+        measurements[label] = ODRIPSController(techniques, cache=args.cache_obj).measure(
             cycles=_cycles_of(args), macro=args.macro
         ).average_power_w
     rows = [
@@ -291,14 +288,9 @@ def cmd_battery(args: argparse.Namespace) -> None:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one observed experiment and export its trace + energy ledger."""
     from repro import obs
-    from repro.errors import ConfigError
 
     target = args.target or "fig2"
-    try:
-        session = obs.run_traced(target, cycles=args.cycles)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    session = obs.run_traced(target, cycles=args.cycles)
     out = args.out or f"trace-{target}.json"
     path = obs.write_chrome_trace(session.tracer, out, platform=session.platform)
     print(obs.render_summary(session.tracer, ledger=session.ledger,
@@ -322,18 +314,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     heartbeats to per-source JSON files for concurrent dashboard reads.
     """
     from repro import obs
-    from repro.errors import ConfigError
     from repro.obs.openmetrics import render_openmetrics
     from repro.obs.stream import TelemetryStream
 
     target = args.target or "fig2"
-    stream = TelemetryStream(heartbeat_dir=getattr(args, "heartbeat", None))
-    try:
-        with obs.observe(stream):
-            session = obs.run_traced(target, cycles=args.cycles)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    stream = TelemetryStream(heartbeat_dir=args.heartbeat)
+    with obs.observe(stream):
+        session = obs.run_traced(target, cycles=args.cycles)
     if args.openmetrics:
         text = render_openmetrics(session.tracer.metrics, stream)
         if args.out:
@@ -358,7 +345,7 @@ def cmd_dash(args: argparse.Namespace) -> int:
     self-contained HTML page (default ``dash.html``; override with
     ``--out``).
     """
-    from repro.errors import ConfigError, MeasurementError
+    from repro.errors import MeasurementError
     from repro.obs.dash import build_dashboard, write_dashboard
     from repro.regress.report import DEFAULT_BENCH_PATH
 
@@ -372,15 +359,12 @@ def cmd_dash(args: argparse.Namespace) -> int:
             causal = build_causal_report(
                 session.tracer, session.platform
             ).as_dict()
-        except ConfigError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         except MeasurementError as error:
             # the causal section is advisory; the joined stores still render
             print(f"warning: causal section skipped: {error}", file=sys.stderr)
     data = build_dashboard(
         bench_path=args.bench or DEFAULT_BENCH_PATH,
-        heartbeat_dir=getattr(args, "heartbeat", None),
+        heartbeat_dir=args.heartbeat,
         causal=causal,
     )
     path = write_dashboard(args.out or "dash.html", data)
@@ -404,7 +388,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """
     import json as json_mod
 
-    from repro.errors import ConfigError, MeasurementError
+    from repro.errors import MeasurementError
     from repro.obs.diff import explain_history, explain_simulate, render_explain
 
     cache = None
@@ -424,9 +408,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 cycles=args.cycles,
                 cache=cache,
             )
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except MeasurementError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -437,146 +418,136 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0 if payload["compatible"] else 1
 
 
+def cmd_report(args: argparse.Namespace) -> int:
+    """Regression watchdog over the run history: ``python -m repro report``."""
+    from repro.regress.report import cmd_report as run_report
+
+    return run_report(args)
+
+
+# --- static analysis: lint and check are two pass-sets of one pipeline --------
+
+#: What one pass-set returns: its diagnostics, the extra top-level JSON
+#: sections, and the summary lines printed after the text report.
+PassResult = Tuple[List[Any], Dict[str, object], List[str]]
+
+
+def _split(entries: List[str]) -> List[str]:
+    """Tokens of a repeatable comma-separated flag (``--select M1,S4``)."""
+    return [token for entry in entries for token in entry.split(",") if token]
+
+
 def _explain_rule(token: str) -> int:
     """Print one registered rule's identity and an example diagnostic.
 
-    Shared by ``repro lint --explain`` and ``repro check --explain``:
-    both commands validate patterns against the same registry, so both
-    explain from it too.  Accepts a rule id (``C601``) or name
-    (``wake-budget-exceeded``); unknown rules are a usage error.
+    Accepts a rule id (``C601``) or name (``wake-budget-exceeded``) of
+    any family; unknown rules are a usage error.
     """
-    from repro import lint as lint_mod
-    from repro.lint.diagnostics import Diagnostic, Location
+    from repro.lint import EXIT_CLEAN, all_rules
 
-    entry = None
-    for candidate in lint_mod.rule_catalog():
-        if token in (candidate["rule_id"], candidate["name"]):
-            entry = candidate
-            break
-    if entry is None:
-        print(f"error: unknown rule: {token!r}", file=sys.stderr)
-        print(
-            "hint: pass a rule id (e.g. C601) or name (e.g. "
-            "wake-budget-exceeded); see docs/LINT.md and docs/CHECK.md",
-            file=sys.stderr,
+    rule = next((rule for rule in all_rules() if token in (rule.rule_id, rule.name)), None)
+    if rule is None:
+        raise ConfigError(
+            f"unknown rule: {token!r} (pass a rule id such as C601 or a name "
+            "such as wake-budget-exceeded; see docs/LINT.md and docs/CHECK.md)"
         )
-        return lint_mod.EXIT_USAGE
-    print(f"{entry['rule_id']} ({entry['name']}) [{entry['severity'].value}]")
-    print(f"  {entry['summary']}")
-    example = Diagnostic(
-        rule=entry["rule_id"],
-        name=entry["name"],
-        severity=entry["severity"],
-        message=entry["summary"],
-        location=Location(obj="<example>"),
-    )
+    print(f"{rule.rule_id} ({rule.name}) [{rule.severity.value}]")
+    print(f"  {rule.summary}")
     print("example diagnostic:")
-    print(f"  {example.render()}")
-    return lint_mod.EXIT_CLEAN
+    print(f"  {rule.diagnostic(rule.summary, obj='<example>').render()}")
+    return EXIT_CLEAN
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run every static-analysis pass; exit non-zero on any finding.
+def _static_analysis(
+    args: argparse.Namespace,
+    passes: Callable[[argparse.Namespace, List[str]], PassResult],
+) -> int:
+    """Run one pass-set through the pipeline ``lint`` and ``check`` share.
 
-    The model verifier runs on the shipped Skylake platform in its two
-    extreme configurations (baseline DRIPS and full ODRIPS, which differ
-    in the components they instantiate); the experiment-registry check
-    (M307) verifies golden-value coverage; the source checker runs on
-    the installed ``repro`` sources unless ``--path`` overrides them.
+    ``--explain`` short-circuits; otherwise the ``--select``/``--ignore``
+    patterns and the ``--path`` roots are validated (usage errors raise
+    :class:`~repro.errors.ConfigError`), the passes run, and their
+    findings are deduplicated (both commands analyze two platform
+    variants), filtered, and rendered as text or JSON.  Exit 0 when
+    clean, 1 on findings.
     """
     from repro import lint as lint_mod
-    from repro.errors import ConfigError
-    from repro.system.skylake import SkylakePlatform
+    from repro.lint.source import default_source_root
 
     if args.explain:
         return _explain_rule(args.explain)
-    select = [token for entry in args.select for token in entry.split(",") if token]
-    ignore = [token for entry in args.ignore for token in entry.split(",") if token]
-    try:
-        lint_mod.validate_rule_patterns(select + ignore, lint_mod.all_rules())
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return lint_mod.EXIT_USAGE
-
-    diagnostics = []
-    for techniques in (TechniqueSet.baseline(), TechniqueSet.odrips()):
-        diagnostics.extend(lint_mod.lint_platform(SkylakePlatform(techniques=techniques)))
-    diagnostics.extend(lint_mod.lint_experiments())
-    paths = args.path or [_default_lint_root()]
+    select, ignore = _split(args.select), _split(args.ignore)
+    lint_mod.validate_rule_patterns(select + ignore, lint_mod.all_rules())
+    paths = args.path or [str(default_source_root())]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
-        for path in missing:
-            print(f"error: no such file or directory: {path}", file=sys.stderr)
-        return lint_mod.EXIT_USAGE
-    diagnostics.extend(lint_mod.lint_paths(paths))
+        raise ConfigError(f"no such file or directory: {', '.join(missing)}")
+    diagnostics, sections, summary_lines = passes(args, paths)
     diagnostics = lint_mod.filter_diagnostics(
         lint_mod.dedupe_diagnostics(diagnostics), select=select, ignore=ignore
     )
     if args.json:
-        print(lint_mod.render_json(diagnostics))
+        print(lint_mod.render_json(diagnostics, sections))
     else:
-        print(lint_mod.render_text(diagnostics))
+        print("\n".join([lint_mod.render_text(diagnostics), *summary_lines]))
     return lint_mod.exit_code(diagnostics)
 
 
-def _default_lint_root() -> str:
-    from repro.lint.source import default_source_root
+def _lint_passes(args: argparse.Namespace, paths: List[str]) -> PassResult:
+    """The model verifier on the shipped platform in its two extreme
+    configurations (baseline DRIPS and full ODRIPS, which differ in the
+    components they instantiate), the experiment-registry check (M307),
+    and the source rules over ``paths``."""
+    from repro.lint import lint_experiments, lint_paths, lint_platform
+    from repro.system.skylake import SkylakePlatform
 
-    return str(default_source_root())
+    diagnostics = []
+    for techniques in (TechniqueSet.baseline(), TechniqueSet.odrips()):
+        diagnostics.extend(lint_platform(SkylakePlatform(techniques=techniques)))
+    diagnostics.extend(lint_experiments())
+    diagnostics.extend(lint_paths(paths))
+    return diagnostics, {}, []
 
 
-def _default_heartbeat_dir() -> str:
-    from repro.obs.stream import DEFAULT_HEARTBEAT_DIR
+def _budget_lines(label: str, summary: Dict[str, Any]) -> List[str]:
+    """Text summary of one configuration's C6xx budget analysis."""
+    lines = []
+    for state, row in sorted(summary.get("deep_states", {}).items()):
+        exit_ps = row.get("worst_exit_latency_ps")
+        exit_us = "n/a" if exit_ps is None else f"{exit_ps / 1e6:.1f} us"
+        budget_ps = row.get("wake_budget_ps")
+        budget_us = "undeclared" if budget_ps is None else f"{budget_ps / 1e6:.1f} us"
+        break_even = row.get("break_even_s")
+        break_even_ms = "n/a" if break_even is None else f"{break_even * 1e3:.2f} ms"
+        versus = f" vs {row['break_even_vs']}" if row.get("break_even_vs") else ""
+        lines.append(
+            f"budgets [{label}]: {state} worst exit {exit_us} "
+            f"(budget {budget_us}), break-even {break_even_ms}{versus}"
+        )
+    cycle = summary.get("cycle")
+    if isinstance(cycle, dict):
+        limit = cycle.get("golden_limit_j")
+        limit_text = "n/a" if limit is None else f"{limit:.3f} J"
+        lines.append(
+            f"budgets [{label}]: cycle energy >= "
+            f"{cycle['energy_lower_bound_j']:.3f} J "
+            f"(golden ceiling {limit_text} over {cycle['period_s']:.3f} s)"
+        )
+    return lines
 
-    return DEFAULT_HEARTBEAT_DIR
 
-
-def cmd_check(args: argparse.Namespace) -> int:
-    """Exhaustive model check + interprocedural source passes (C-series).
-
-    Explores every reachable composed state of the shipped Skylake
-    platform in its two extreme configurations (baseline DRIPS and full
-    ODRIPS), checks the power-safety invariants in each state, then runs
-    the unit-dataflow (C4xx) and effect/determinism (C5xx) passes over
-    the sources — both on one shared parse and call graph, so each file
-    is parsed exactly once per invocation.  Exit 0 when clean, 1 on
-    findings, 2 on usage errors — the same contract as ``repro lint``.
-    """
-    import json as json_mod
-
-    from repro import check as check_mod
-    from repro import lint as lint_mod
+def _check_passes(args: argparse.Namespace, paths: List[str]) -> PassResult:
+    """Exhaustive model check of both extreme configurations (C1xx/C2xx,
+    plus C6xx with ``--budgets``), then the unit-dataflow (C4xx) and
+    effect/determinism (C5xx) passes over ``paths`` — both on one shared
+    parse and call graph, so each file is parsed once per invocation."""
+    from repro.check import check_standby_model
     from repro.check.callgraph import graph_for_paths
     from repro.check.dataflow import analyze_graph
     from repro.check.effects import analyze_effects_graph
-    from repro.errors import ConfigError
     from repro.lint.astcache import ModuleCache
 
-    if args.explain:
-        return _explain_rule(args.explain)
-    select = [token for entry in args.select for token in entry.split(",") if token]
-    ignore = [token for entry in args.ignore for token in entry.split(",") if token]
-    try:
-        lint_mod.validate_rule_patterns(select + ignore, lint_mod.all_rules())
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return lint_mod.EXIT_USAGE
-
-    invariant_names = None
-    if args.invariants:
-        invariant_names = tuple(
-            token for entry in args.invariants for token in entry.split(",") if token
-        )
-    try:
-        check_mod.select_invariants(invariant_names)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return lint_mod.EXIT_USAGE
-    if args.max_states <= 0:
-        print("error: --max-states must be positive", file=sys.stderr)
-        return lint_mod.EXIT_USAGE
-
-    run_budgets = getattr(args, "budgets", False)
+    invariant_names = tuple(_split(args.invariants)) if args.invariants else None
     diagnostics = []
     state_space: Dict[str, object] = {}
     budgets: Dict[str, object] = {}
@@ -584,95 +555,58 @@ def cmd_check(args: argparse.Namespace) -> int:
         ("baseline", TechniqueSet.baseline()),
         ("odrips", TechniqueSet.odrips()),
     ):
-        report = check_mod.check_standby_model(
+        report = check_standby_model(
             techniques=techniques,
             invariant_names=invariant_names,
             max_states=args.max_states,
-            budgets=run_budgets,
+            budgets=args.budgets,
         )
         diagnostics.extend(report.diagnostics)
         state_space[label] = report.state_space
         if report.budgets is not None:
             budgets[label] = report.budgets
+    sections: Dict[str, object] = {"state_space": state_space}
+    lines = [
+        f"state space [{label}]: {summary['states_explored']} state(s), "
+        f"{summary['transitions_taken']} transition(s)"
+        + (" [truncated]" if summary["truncated"] else "")
+        for label, summary in sorted(state_space.items())
+    ]
+    if args.budgets:
+        sections["budgets"] = budgets
+        for label in sorted(budgets):
+            lines.extend(_budget_lines(label, budgets[label]))
 
-    paths = args.path or [_default_lint_root()]
-    missing = [path for path in paths if not os.path.exists(path)]
-    if missing:
-        for path in missing:
-            print(f"error: no such file or directory: {path}", file=sys.stderr)
-        return lint_mod.EXIT_USAGE
     cache = ModuleCache()
     graph = graph_for_paths(paths, cache=cache)
     diagnostics.extend(analyze_graph(graph))
-    effects_summary: Optional[Dict[str, object]] = None
-    if getattr(args, "effects", True):
-        effects_report = analyze_effects_graph(graph)
-        diagnostics.extend(effects_report.diagnostics)
-        effects_summary = effects_report.summary
+    if args.effects:
+        effects = analyze_effects_graph(graph)
+        diagnostics.extend(effects.diagnostics)
+        sections["effects"] = effects.summary
+        entries = effects.summary["entry_points"]
+        clean = sum(1 for entry in entries if entry["clean"])
+        lines.append(
+            f"effects: {len(entries)} entry point(s), {clean} clean, "
+            f"{len(entries) - clean} with undeclared effects "
+            f"({effects.summary['functions']} function(s) analyzed, "
+            f"parsed {cache.parse_count} file(s) once)"
+        )
+    return diagnostics, sections, lines
 
-    diagnostics = lint_mod.filter_diagnostics(
-        lint_mod.dedupe_diagnostics(diagnostics), select=select, ignore=ignore
-    )
-    if args.json:
-        payload = json_mod.loads(lint_mod.render_json(diagnostics))
-        payload["state_space"] = state_space
-        if effects_summary is not None:
-            payload["effects"] = effects_summary
-        if run_budgets:
-            payload["budgets"] = budgets
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(lint_mod.render_text(diagnostics))
-        for label in sorted(state_space):
-            summary = state_space[label]
-            print(
-                f"state space [{label}]: {summary['states_explored']} state(s), "
-                f"{summary['transitions_taken']} transition(s)"
-                + (" [truncated]" if summary["truncated"] else "")
-            )
-        for label in sorted(budgets):
-            summary = budgets[label]
-            for state, row in sorted(summary.get("deep_states", {}).items()):
-                exit_ps = row.get("worst_exit_latency_ps")
-                exit_us = "n/a" if exit_ps is None else f"{exit_ps / 1e6:.1f} us"
-                budget_ps = row.get("wake_budget_ps")
-                budget_us = (
-                    "undeclared" if budget_ps is None else f"{budget_ps / 1e6:.1f} us"
-                )
-                break_even = row.get("break_even_s")
-                break_even_ms = (
-                    "n/a" if break_even is None else f"{break_even * 1e3:.2f} ms"
-                )
-                print(
-                    f"budgets [{label}]: {state} worst exit {exit_us} "
-                    f"(budget {budget_us}), break-even {break_even_ms}"
-                    + (
-                        f" vs {row['break_even_vs']}"
-                        if row.get("break_even_vs")
-                        else ""
-                    )
-                )
-            cycle = summary.get("cycle")
-            if isinstance(cycle, dict):
-                limit = cycle.get("golden_limit_j")
-                limit_text = "n/a" if limit is None else f"{limit:.3f} J"
-                print(
-                    f"budgets [{label}]: cycle energy >= "
-                    f"{cycle['energy_lower_bound_j']:.3f} J "
-                    f"(golden ceiling {limit_text} over "
-                    f"{cycle['period_s']:.3f} s)"
-                )
-        if effects_summary is not None:
-            entries = effects_summary["entry_points"]
-            clean = sum(1 for entry in entries if entry["clean"])
-            print(
-                f"effects: {len(entries)} entry point(s), {clean} clean, "
-                f"{len(entries) - clean} with undeclared effects "
-                f"({effects_summary['functions']} function(s) analyzed, "
-                f"parsed {cache.parse_count} file(s) once)"
-            )
-    return lint_mod.exit_code(diagnostics)
 
+def cmd_lint(args: argparse.Namespace) -> int:
+    """Structural static analysis: model verifier, M307, source rules."""
+    return _static_analysis(args, _lint_passes)
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    """Behavioural static analysis: exhaustive model check, dataflow,
+    effects and (``--budgets``) priced-timed budgets."""
+    return _static_analysis(args, _check_passes)
+
+
+# --- paper experiments ---------------------------------------------------------
 
 COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "fig1b": cmd_fig1b,
@@ -690,215 +624,20 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "temperature": cmd_temperature,
 }
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce the ODRIPS (HPCA 2020) experiments",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(COMMANDS) + ["all", "check", "dash", "explain", "lint",
-                                    "metrics", "report", "trace"],
-        help="which paper experiment to run ('lint' for static analysis, "
-             "'check' for the exhaustive model checker, 'trace' for an "
-             "observed run with Perfetto export, 'explain' for the "
-             "differential drift explainer, 'report' for the "
-             "golden-number regression watchdog, 'metrics' for the "
-             "OpenMetrics exposition, 'dash' for the fleet dashboard)",
-    )
-    parser.add_argument(
-        "target", nargs="?", default=None,
-        help="trace/explain: configuration to observe (fig2, baseline, "
-             "wake-up-off, aon-io-gate, ctx, odrips, odrips-mram, odrips-pcm; "
-             "default fig2)",
-    )
-    parser.add_argument(
-        "target2", nargs="?", default=None,
-        help="explain: second configuration to diff the first against",
-    )
-    parser.add_argument(
-        "--cycles", type=int, default=2,
-        help="measured connected-standby cycles per configuration (default 2)",
-    )
-    perf_group = parser.add_argument_group("performance options")
-    perf_group.add_argument(
-        "--macro", dest="macro", action="store_true", default=False,
-        help="macro-step periodic standby cycles (bit-for-bit identical "
-             "results, orders of magnitude faster for long horizons)",
-    )
-    perf_group.add_argument(
-        "--no-macro", dest="macro", action="store_false",
-        help="force event-by-event simulation (default)",
-    )
-    perf_group.add_argument(
-        "--horizon", type=float, default=None, metavar="DAYS",
-        help="simulated horizon in days; overrides --cycles via the default "
-             "workload's cycle period (use with --macro for week scales)",
-    )
-    obs_group = parser.add_argument_group("observability options")
-    obs_group.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="trace: Chrome trace-event JSON output path (default trace-<target>.json)",
-    )
-    obs_group.add_argument(
-        "--jsonl", metavar="FILE", default=None,
-        help="trace: also write a flat JSONL event log",
-    )
-    obs_group.add_argument(
-        "--trace", action="store_true",
-        help="run the experiment instrumented and print the span/metric digest",
-    )
-    obs_group.add_argument(
-        "--metrics", action="store_true",
-        help="run the experiment instrumented and print the metrics tables",
-    )
-    obs_group.add_argument(
-        "--cache", action="store_true",
-        help="memoize simulation runs and report cache hit/miss stats",
-    )
-    obs_group.add_argument(
-        "--profile", action="store_true",
-        help="attribute host wall time and peak allocations to "
-             "build/simulate/measure/analyze phases",
-    )
-    obs_group.add_argument(
-        "--no-runlog", action="store_true",
-        help="do not record this run to the .repro/runs flight recorder",
-    )
-    obs_group.add_argument(
-        "--heartbeat", nargs="?", metavar="DIR", default=None,
-        const=_default_heartbeat_dir(),
-        help="stream live telemetry (bounded histograms + per-source "
-             "progress heartbeats) and mirror heartbeats to DIR "
-             "(default .repro/heartbeats)",
-    )
-    obs_group.add_argument(
-        "--openmetrics", action="store_true",
-        help="metrics: render the OpenMetrics text exposition instead of "
-             "the human-readable digest",
-    )
-    obs_group.add_argument(
-        "--static", action="store_true",
-        help="dash: skip the fresh observed run (no per-cause energy "
-             "section; joins the stores only)",
-    )
-    perf_group.add_argument(
-        "--parallel", action="store_true",
-        help="fig6b/fig6c: fan sweep points out over worker processes",
-    )
-    parser.add_argument(
-        "--break-even", action="store_true",
-        help="fig6a: also compute the residency break-even points (slower)",
-    )
-    parser.add_argument(
-        "--battery-wh", type=float, default=BATTERY_WH["surface-class"],
-        help="battery capacity for the battery command (default 38 Wh)",
-    )
-    lint_group = parser.add_argument_group("lint options")
-    lint_group.add_argument(
-        "--json", action="store_true",
-        help="lint: emit machine-readable JSON instead of text",
-    )
-    lint_group.add_argument(
-        "--select", action="append", default=[], metavar="RULES",
-        help="lint: only report these rules (comma-separated ids/prefixes/names)",
-    )
-    lint_group.add_argument(
-        "--ignore", action="append", default=[], metavar="RULES",
-        help="lint: suppress these rules (comma-separated ids/prefixes/names)",
-    )
-    lint_group.add_argument(
-        "--path", action="append", default=[], metavar="PATH",
-        help="lint: source files/directories to check (default: the repro package)",
-    )
-    lint_group.add_argument(
-        "--explain", metavar="RULE", default=None,
-        help="lint/check: print the registered rule's identity, summary and "
-             "an example diagnostic, then exit (rule id or name)",
-    )
-    check_group = parser.add_argument_group("check options")
-    check_group.add_argument(
-        "--max-states", type=int, default=100_000, metavar="N",
-        help="check: bound on explored composed states (default 100000)",
-    )
-    check_group.add_argument(
-        "--invariants", action="append", default=[], metavar="NAMES",
-        help="check: only evaluate these invariants (comma-separated names; "
-             "default: all builtins)",
-    )
-    check_group.add_argument(
-        "--effects", dest="effects", action="store_true", default=True,
-        help="check: run the C5xx effect/determinism analysis (default)",
-    )
-    check_group.add_argument(
-        "--no-effects", dest="effects", action="store_false",
-        help="check: skip the C5xx effect/determinism analysis",
-    )
-    check_group.add_argument(
-        "--budgets", dest="budgets", action="store_true", default=False,
-        help="check: run the priced-timed C6xx budget analysis — worst-case "
-             "exit latency, break-even residency and per-cycle energy bounds "
-             "(probes one standby cycle per configuration)",
-    )
-    check_group.add_argument(
-        "--no-budgets", dest="budgets", action="store_false",
-        help="check: skip the C6xx budget analysis (default)",
-    )
-    explain_group = parser.add_argument_group("explain options")
-    explain_group.add_argument(
-        "--perturb", metavar="KEY=FACTOR", default=None,
-        help="explain: diff the target against a perturbed copy of itself "
-             "(dram-self-refresh, external-wake-rate)",
-    )
-    explain_group.add_argument(
-        "--history", action="store_true",
-        help="explain: diff the two most recent flight-recorder records of "
-             "the target experiment instead of re-simulating",
-    )
-    report_group = parser.add_argument_group("report options")
-    report_group.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="report: JSON file overriding golden values / bench policies",
-    )
-    report_group.add_argument(
-        "--bench", metavar="FILE", default=None,
-        help="report: benchmark figures to check (default BENCH_perf.json)",
-    )
-    report_group.add_argument(
-        "--html", metavar="FILE", default=None,
-        help="report: also write a static HTML report",
-    )
-    return parser
+#: What ``python -m repro all`` runs, in order.
+ALL_EXPERIMENTS = ("table1", "fig1b", "fig2", "fig6a", "fig6b", "fig6c",
+                   "fig6d", "latency", "calibration", "ablations")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.experiment == "lint":
-        return cmd_lint(args)
-    if args.experiment == "check":
-        return cmd_check(args)
-    if args.experiment == "report":
-        from repro.regress.report import cmd_report
-
-        return cmd_report(args)
-    if args.experiment == "trace":
-        return cmd_trace(args)
-    if args.experiment == "explain":
-        return cmd_explain(args)
-    if args.experiment == "metrics":
-        return cmd_metrics(args)
-    if args.experiment == "dash":
-        return cmd_dash(args)
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """Run one paper experiment (or ``all``) under the requested sinks."""
+    from repro import obs
 
     args.cache_obj = None
     if args.cache:
         from repro.perf.cache import SimulationCache
 
         args.cache_obj = SimulationCache()
-
-    from repro import obs
-
     sinks = [
         obs.Tracer() if args.trace or args.metrics else None,
         obs.PhaseProfiler(track_allocations=True) if args.profile else None,
@@ -906,16 +645,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.heartbeat is not None else None,
         None if args.no_runlog else obs.RunRecorder(),
     ]
+    names = ALL_EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     with obs.observe(*(sink for sink in sinks if sink is not None)) as session:
-        if args.experiment == "all":
-            for name in ["table1", "fig1b", "fig2", "fig6a", "fig6b", "fig6c",
-                         "fig6d", "latency", "calibration", "ablations"]:
-                with session.phase("analyze"):
-                    COMMANDS[name](args)
-                print()
-        else:
+        for name in names:
             with session.phase("analyze"):
-                COMMANDS[args.experiment](args)
+                COMMANDS[name](args)
+            if args.experiment == "all":
+                print()
     tracer, stream = session.tracer, session.stream
     if tracer is not None:
         print()
@@ -958,6 +694,191 @@ def _persist_runlog(recorder, command: str) -> None:
     except OSError as error:
         print(f"warning: flight recorder could not append run records: {error}",
               file=sys.stderr)
+
+
+# --- the parser: every flag defined once, each command picks the ones it reads --
+
+
+def _max_states(text: str) -> int:
+    """argparse type of ``--max-states``: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ConfigError(f"--max-states must be a positive integer (got {text!r})")
+    return value
+
+
+_TARGET_HELP = ("configuration to observe (fig2, baseline, wake-up-off, aon-io-gate, "
+                "ctx, odrips, odrips-mram, odrips-pcm; default fig2)")
+
+#: Every argument of every command, by name.
+FLAGS: Dict[str, Dict[str, Any]] = {
+    "target": dict(nargs="?", default=None, help=_TARGET_HELP),
+    "target2": dict(nargs="?", default=None,
+                    help="second configuration to diff the first against"),
+    # simulation
+    "--cycles": dict(type=int, default=2,
+                     help="measured connected-standby cycles per configuration "
+                          "(default 2)"),
+    "--macro": dict(action="store_true",
+                    help="macro-step periodic standby cycles (bit-for-bit identical "
+                         "results, orders of magnitude faster for long horizons)"),
+    "--horizon": dict(type=float, default=None, metavar="DAYS",
+                      help="simulated horizon in days; overrides --cycles via the "
+                           "default workload's cycle period (use with --macro for "
+                           "week scales)"),
+    "--cache": dict(action="store_true",
+                    help="memoize simulation runs and report cache hit/miss stats"),
+    "--parallel": dict(action="store_true",
+                       help="fan fig6b/fig6c sweep points out over worker processes"),
+    "--break-even": dict(action="store_true",
+                         help="also compute the fig6a residency break-even points "
+                              "(slower)"),
+    "--battery-wh": dict(type=float, default=BATTERY_WH["surface-class"],
+                         help="battery capacity (default 38 Wh)"),
+    # observability sinks
+    "--trace": dict(action="store_true",
+                    help="run instrumented and print the span/metric digest"),
+    "--metrics": dict(action="store_true",
+                      help="run instrumented and print the metrics tables"),
+    "--profile": dict(action="store_true",
+                      help="attribute host wall time and peak allocations to "
+                           "build/simulate/measure/analyze phases"),
+    "--heartbeat": dict(nargs="?", metavar="DIR", default=None,
+                        const=DEFAULT_HEARTBEAT_DIR,
+                        help="stream live telemetry (bounded histograms + per-source "
+                             "progress heartbeats) and mirror heartbeats to DIR "
+                             "(default .repro/heartbeats)"),
+    "--no-runlog": dict(action="store_true",
+                        help="do not record this run to the .repro/runs flight "
+                             "recorder"),
+    # trace / metrics / dash outputs
+    "--out": dict(metavar="FILE", default=None,
+                  help="output path (trace: Chrome trace JSON, default "
+                       "trace-<target>.json; metrics: OpenMetrics file; dash: "
+                       "page, default dash.html)"),
+    "--jsonl": dict(metavar="FILE", default=None,
+                    help="also write a flat JSONL event log"),
+    "--openmetrics": dict(action="store_true",
+                          help="render the OpenMetrics text exposition instead of "
+                               "the human-readable digest"),
+    "--static": dict(action="store_true",
+                     help="skip the fresh observed run (no per-cause energy "
+                          "section; joins the stores only)"),
+    # static analysis
+    "--json": dict(action="store_true",
+                   help="emit machine-readable JSON instead of text"),
+    "--select": dict(action="append", default=[], metavar="RULES",
+                     help="only report these rules (comma-separated "
+                          "ids/prefixes/names)"),
+    "--ignore": dict(action="append", default=[], metavar="RULES",
+                     help="suppress these rules (comma-separated ids/prefixes/names)"),
+    "--path": dict(action="append", default=[], metavar="PATH",
+                   help="source files/directories to analyze (default: the repro "
+                        "package)"),
+    "--explain": dict(metavar="RULE", default=None,
+                      help="print the registered rule's identity, summary and an "
+                           "example diagnostic, then exit (rule id or name)"),
+    "--max-states": dict(type=_max_states, default=100_000, metavar="N",
+                         help="bound on explored composed states (default 100000)"),
+    "--invariants": dict(action="append", default=[], metavar="NAMES",
+                         help="only evaluate these invariants (comma-separated "
+                              "names; default: all builtins)"),
+    "--no-effects": dict(dest="effects", action="store_false",
+                         help="skip the C5xx effect/determinism analysis"),
+    "--budgets": dict(action="store_true",
+                      help="run the priced-timed C6xx budget analysis — worst-case "
+                           "exit latency, break-even residency and per-cycle "
+                           "energy bounds (probes one standby cycle per "
+                           "configuration)"),
+    # explain
+    "--perturb": dict(metavar="KEY=FACTOR", default=None,
+                      help="diff the target against a perturbed copy of itself "
+                           "(dram-self-refresh, external-wake-rate)"),
+    "--history": dict(action="store_true",
+                      help="diff the two most recent flight-recorder records of "
+                           "the target experiment instead of re-simulating"),
+    # report
+    "--baseline": dict(metavar="FILE", default=None,
+                       help="JSON file overriding golden values / bench policies"),
+    "--bench": dict(metavar="FILE", default=None,
+                    help="benchmark figures to check (default BENCH_perf.json)"),
+    "--html": dict(metavar="FILE", default=None,
+                   help="also write a static HTML report"),
+}
+
+SIMULATION = ("--cycles", "--macro", "--horizon", "--cache")
+SINKS = ("--trace", "--metrics", "--profile", "--heartbeat", "--no-runlog")
+EXPERIMENT = SIMULATION + SINKS
+STATIC_ANALYSIS = ("--json", "--select", "--ignore", "--path", "--explain")
+
+#: command -> (handler, one-line help, the arguments it reads).
+COMMAND_TABLE: Dict[str, Tuple[Callable[[argparse.Namespace], int], str, Tuple[str, ...]]] = {
+    "table1": (cmd_experiment, "Table 1 platform parameters", EXPERIMENT),
+    "fig1b": (cmd_experiment, "Fig. 1(b) DRIPS power breakdown", EXPERIMENT),
+    "fig2": (cmd_experiment, "Fig. 2 connected standby (baseline)", EXPERIMENT),
+    "fig6a": (cmd_experiment, "Fig. 6(a) technique savings",
+              EXPERIMENT + ("--break-even",)),
+    "fig6b": (cmd_experiment, "Fig. 6(b) core-frequency scaling",
+              EXPERIMENT + ("--parallel",)),
+    "fig6c": (cmd_experiment, "Fig. 6(c) DRAM-frequency scaling",
+              EXPERIMENT + ("--parallel",)),
+    "fig6d": (cmd_experiment, "Fig. 6(d) emerging memories", EXPERIMENT),
+    "latency": (cmd_experiment, "Sec. 6.3 context transfer latency", EXPERIMENT),
+    "calibration": (cmd_experiment, "Sec. 4.1.3 Step register sizing", EXPERIMENT),
+    "ablations": (cmd_experiment, "design ablations (Secs. 4-6)", EXPERIMENT),
+    "battery": (cmd_experiment, "connected-standby battery life",
+                EXPERIMENT + ("--battery-wh",)),
+    "sensitivity": (cmd_experiment, "sensitivity of the ODRIPS saving", EXPERIMENT),
+    "temperature": (cmd_experiment, "DRIPS power vs temperature", EXPERIMENT),
+    "all": (cmd_experiment, "every table and figure in sequence",
+            EXPERIMENT + ("--break-even", "--parallel")),
+    "lint": (cmd_lint, "static model verifier + source checker", STATIC_ANALYSIS),
+    "check": (cmd_check, "exhaustive model checker + dataflow/effects/budgets",
+              STATIC_ANALYSIS + ("--max-states", "--invariants", "--no-effects",
+                                 "--budgets")),
+    "trace": (cmd_trace, "observed run with Perfetto export",
+              ("target", "--cycles", "--out", "--jsonl")),
+    "metrics": (cmd_metrics, "observed run's OpenMetrics exposition",
+                ("target", "--cycles", "--openmetrics", "--out", "--heartbeat")),
+    "dash": (cmd_dash, "static fleet dashboard",
+             ("target", "--cycles", "--static", "--bench", "--out", "--heartbeat")),
+    "explain": (cmd_explain, "differential drift explainer",
+                ("target", "target2", "--cycles", "--cache", "--perturb",
+                 "--history", "--json")),
+    "report": (cmd_report, "golden-number regression watchdog",
+               ("--baseline", "--bench", "--html", "--json")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce the ODRIPS (HPCA 2020) experiments",
+    )
+    commands = parser.add_subparsers(
+        dest="experiment", required=True, metavar="experiment",
+        help="run `repro <experiment> --help` for its flags",
+    )
+    for name, (_handler, summary, arguments) in COMMAND_TABLE.items():
+        command = commands.add_parser(name, help=summary, description=summary)
+        for argument in arguments:
+            command.add_argument(argument, **FLAGS[argument])
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+        handler = COMMAND_TABLE[args.experiment][0]
+        return handler(args)
+    except ConfigError as error:
+        from repro.lint.diagnostics import EXIT_USAGE
+
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

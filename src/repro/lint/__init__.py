@@ -16,8 +16,12 @@ the experiment-driver registry: every driver must declare the golden
 values the regression watchdog compares, so new experiments cannot
 silently opt out of fidelity checking.
 
-Run both from the shell with ``python -m repro lint`` (see docs/LINT.md
-for the rule catalog), or call them directly::
+Every rule of these passes and of the exhaustive checker
+(:mod:`repro.check`) is one :class:`Rule`, registered in
+:func:`all_rules`.
+
+Run the passes from the shell with ``python -m repro lint`` (see
+docs/LINT.md for the rule catalog), or call them directly::
 
     from repro.lint import lint_platform, lint_paths, render_text
     from repro.system.skylake import SkylakePlatform
@@ -26,6 +30,8 @@ for the rule catalog), or call them directly::
     print(render_text(diagnostics))
 """
 
+from typing import Tuple
+
 from repro.lint.diagnostics import (
     EXIT_CLEAN,
     EXIT_DIAGNOSTICS,
@@ -33,6 +39,7 @@ from repro.lint.diagnostics import (
     JSON_SCHEMA_VERSION,
     Diagnostic,
     Location,
+    Rule,
     Severity,
     dedupe_diagnostics,
     exit_code,
@@ -43,91 +50,29 @@ from repro.lint.diagnostics import (
     validate_rule_patterns,
 )
 from repro.lint.model import ModelView, lint_model_view, lint_platform, walk_model
-from repro.lint.rules_experiments import M307_NAME, M307_RULE, lint_experiments
+from repro.lint.rules_experiments import M307_RULE, lint_experiments
 from repro.lint.source import lint_file, lint_paths, lint_source_text
 
 
-def all_rules():
-    """Every known rule as ``(rule_id, name)`` pairs, catalog order.
+def all_rules() -> Tuple[Rule, ...]:
+    """Every known rule, catalog order: the one registry of both commands.
 
-    This is the single registry: the ``M``/``S`` series of the lint
-    passes, the pragma-hygiene rule (S407), and the ``C`` series of the
-    exhaustive model checker (:mod:`repro.check`).  Both ``repro lint``
-    and ``repro check`` validate ``--select``/``--ignore`` patterns
-    against it, and the gate tests assert the ids are unique.
+    ``repro lint`` and ``repro check`` validate ``--select``/``--ignore``
+    patterns against it and ``--explain`` reads it; the gate tests
+    assert its ids and names are unique.
     """
     from repro.check.rules import CHECK_RULES
     from repro.lint.rules_model import MODEL_RULES
-    from repro.lint.rules_source import SOURCE_RULES
-    from repro.lint.source import S407_NAME, S407_RULE
+    from repro.lint.rules_source import S400_RULE, S407_RULE, SOURCE_RULES
 
-    pairs = [(rule.rule_id, rule.name) for rule in MODEL_RULES]
-    pairs.append((M307_RULE, M307_NAME))
-    pairs.extend((rule.rule_id, rule.name) for rule in SOURCE_RULES)
-    pairs.append((S407_RULE, S407_NAME))
-    pairs.extend((rule.rule_id, rule.name) for rule in CHECK_RULES)
-    return pairs
-
-
-def rule_catalog():
-    """Every known rule with its full identity, catalog order.
-
-    Each entry is a dict with ``rule_id``, ``name``, ``severity``
-    (:class:`Severity`) and ``summary``.  This is the registry behind
-    ``repro lint --explain RULE`` / ``repro check --explain RULE``; it
-    covers the same rules as :func:`all_rules`, in the same order.
-    """
-    from repro.check.rules import CHECK_RULES
-    from repro.lint.rules_model import MODEL_RULES
-    from repro.lint.rules_source import SOURCE_RULES
-    from repro.lint.source import S407_NAME, S407_RULE
-
-    entries = [
-        {
-            "rule_id": rule.rule_id,
-            "name": rule.name,
-            "severity": rule.severity,
-            "summary": rule.summary,
-        }
-        for rule in MODEL_RULES
-    ]
-    # M307 and S407 are standalone passes without a *Rule dataclass;
-    # their identity lives here so the explain registry stays complete.
-    entries.append(
-        {
-            "rule_id": M307_RULE,
-            "name": M307_NAME,
-            "severity": Severity.ERROR,
-            "summary": "experiment driver declares no golden-value coverage",
-        }
+    return (
+        *(rule for rule, _check in MODEL_RULES),
+        M307_RULE,
+        S400_RULE,
+        *(rule for rule, _check in SOURCE_RULES),
+        S407_RULE,
+        *CHECK_RULES,
     )
-    entries.extend(
-        {
-            "rule_id": rule.rule_id,
-            "name": rule.name,
-            "severity": rule.severity,
-            "summary": rule.summary,
-        }
-        for rule in SOURCE_RULES
-    )
-    entries.append(
-        {
-            "rule_id": S407_RULE,
-            "name": S407_NAME,
-            "severity": Severity.WARNING,
-            "summary": "allow pragma names a rule id that exists in no catalog",
-        }
-    )
-    entries.extend(
-        {
-            "rule_id": rule.rule_id,
-            "name": rule.name,
-            "severity": rule.severity,
-            "summary": rule.summary,
-        }
-        for rule in CHECK_RULES
-    )
-    return entries
 
 
 __all__ = [
@@ -138,6 +83,7 @@ __all__ = [
     "Diagnostic",
     "Location",
     "ModelView",
+    "Rule",
     "Severity",
     "all_rules",
     "dedupe_diagnostics",
@@ -151,7 +97,6 @@ __all__ = [
     "lint_source_text",
     "render_json",
     "render_text",
-    "rule_catalog",
     "sort_diagnostics",
     "validate_rule_patterns",
     "walk_model",

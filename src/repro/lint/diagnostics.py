@@ -1,12 +1,13 @@
-"""Shared diagnostics framework for the static model/source checkers.
+"""Shared diagnostics framework of ``repro lint`` and ``repro check``.
 
-Every lint pass — the model verifier (:mod:`repro.lint.model`) and the
-AST source checker (:mod:`repro.lint.source`) — reports findings as
-:class:`Diagnostic` values: a stable rule id, a severity, a location
-(either ``file:line`` for source findings or a model-object path for
-model findings), a message, and an optional fix hint.  This module also
-owns the two renderers (human text and JSON) and the rule
-selection/ignoring logic shared by the CLI and the test gate.
+Every static-analysis rule — model verifier, source checker, model
+checker, dataflow, effects and budgets — is one :class:`Rule` and
+reports findings as :class:`Diagnostic` values: a stable rule id, a
+severity, a location (either ``file:line`` for source findings or a
+model-object path for model findings), a message, and an optional fix
+hint.  This module also owns the two renderers (human text and JSON)
+and the rule selection/ignoring logic shared by the CLI and the test
+gate.
 
 The JSON output is a stable schema (``JSON_SCHEMA_VERSION``) so CI
 tooling can parse it::
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -106,6 +107,34 @@ class Diagnostic:
         }
 
 
+@dataclass(frozen=True)
+class Rule:
+    """Identity of one rule; its check logic lives with its pass."""
+
+    rule_id: str
+    name: str
+    severity: Severity
+    summary: str
+
+    def diagnostic(
+        self,
+        message: str,
+        *,
+        obj: Optional[str] = None,
+        file: Optional[str] = None,
+        line: Optional[int] = None,
+        hint: str = "",
+    ) -> Diagnostic:
+        return Diagnostic(
+            rule=self.rule_id,
+            name=self.name,
+            severity=self.severity,
+            message=message,
+            location=Location(file=file, line=line, obj=obj),
+            hint=hint or None,
+        )
+
+
 def _sort_key(diag: Diagnostic) -> Tuple[str, int, str, str]:
     return (
         diag.location.file or diag.location.obj or "",
@@ -143,10 +172,9 @@ def _matches(diag: Diagnostic, patterns: Sequence[str]) -> bool:
     return False
 
 
-def validate_rule_patterns(patterns: Sequence[str], known_rules: Sequence[Tuple[str, str]]) -> None:
+def validate_rule_patterns(patterns: Sequence[str], known_rules: Sequence[Rule]) -> None:
     """Reject selection patterns that can never match a known rule.
 
-    ``known_rules`` is a sequence of ``(rule_id, rule_name)`` pairs.
     Raises :class:`~repro.errors.ConfigError` on unknown patterns so the
     CLI can exit with a usage error instead of silently selecting nothing.
     Every unknown pattern is reported in one error — a user fixing a
@@ -157,7 +185,7 @@ def validate_rule_patterns(patterns: Sequence[str], known_rules: Sequence[Tuple[
         pattern
         for pattern in patterns
         if not any(
-            rule_id.startswith(pattern) or name == pattern for rule_id, name in known_rules
+            rule.rule_id.startswith(pattern) or rule.name == pattern for rule in known_rules
         )
     ]
     if len(unknown) == 1:
@@ -206,15 +234,23 @@ def render_text(diagnostics: Sequence[Diagnostic]) -> str:
     return "\n".join(lines)
 
 
-def render_json(diagnostics: Sequence[Diagnostic]) -> str:
-    """Machine-readable report (schema version ``JSON_SCHEMA_VERSION``)."""
+def render_json(
+    diagnostics: Sequence[Diagnostic], sections: Optional[Dict[str, object]] = None
+) -> str:
+    """Machine-readable report (schema version ``JSON_SCHEMA_VERSION``).
+
+    ``sections`` adds top-level summaries (``repro check``'s
+    ``state_space``/``effects``/``budgets``); a payload carrying them is
+    rendered with sorted keys, as that report always has been.
+    """
     ordered = sort_diagnostics(diagnostics)
-    payload = {
+    payload: Dict[str, object] = {
         "version": JSON_SCHEMA_VERSION,
         "counts": count_by_severity(ordered),
         "diagnostics": [diag.to_json() for diag in ordered],
     }
-    return json.dumps(payload, indent=2, sort_keys=False)
+    payload.update(sections or {})
+    return json.dumps(payload, indent=2, sort_keys=bool(sections))
 
 
 def exit_code(diagnostics: Sequence[Diagnostic]) -> int:

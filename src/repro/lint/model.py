@@ -282,8 +282,8 @@ def lint_model_view(view: ModelView) -> List[Diagnostic]:
     from repro.lint.rules_model import MODEL_RULES
 
     diagnostics: List[Diagnostic] = []
-    for rule in MODEL_RULES:
-        diagnostics.extend(rule.check(view))
+    for rule, check in MODEL_RULES:
+        diagnostics.extend(check(rule, view))
     return sort_diagnostics(diagnostics)
 
 

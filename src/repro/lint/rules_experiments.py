@@ -22,26 +22,16 @@ from __future__ import annotations
 import re
 from typing import List
 
-from repro.lint.diagnostics import Diagnostic, Location, Severity, sort_diagnostics
+from repro.lint.diagnostics import Diagnostic, Rule, Severity, sort_diagnostics
 
-#: Rule identity (reported like the model rules; catalog in docs/LINT.md).
-M307_RULE = "M307"
-M307_NAME = "experiment-golden-coverage"
+M307_RULE = Rule(
+    "M307", "experiment-golden-coverage", Severity.ERROR,
+    "experiment driver declares no golden-value coverage",
+)
 
 #: Public functions in core.experiments matching these are paper
 #: artifacts and must be registered drivers.
 _DRIVER_NAME = re.compile(r"^(fig|sec|table)")
-
-
-def _diagnostic(message: str, obj: str, hint: str = "") -> Diagnostic:
-    return Diagnostic(
-        rule=M307_RULE,
-        name=M307_NAME,
-        severity=Severity.ERROR,
-        message=message,
-        location=Location(obj=obj),
-        hint=hint or None,
-    )
 
 
 def lint_experiments() -> List[Diagnostic]:
@@ -63,7 +53,7 @@ def lint_experiments() -> List[Diagnostic]:
         wrapped = getattr(value, "__wrapped__", None)
         if getattr(value, "spec", None) is None and wrapped not in registered:
             diagnostics.append(
-                _diagnostic(
+                M307_RULE.diagnostic(
                     f"public driver {name!r} in core.experiments is not "
                     "registered with @experiment_driver, so its runs are "
                     "never recorded or fidelity-checked",
@@ -77,7 +67,7 @@ def lint_experiments() -> List[Diagnostic]:
         obj = f"experiment {name}"
         if not spec.goldens and not spec.golden_exempt:
             diagnostics.append(
-                _diagnostic(
+                M307_RULE.diagnostic(
                     f"driver {name!r} declares no golden values and no "
                     "golden_exempt reason, silently opting out of the "
                     "regression watchdog",
@@ -88,7 +78,7 @@ def lint_experiments() -> List[Diagnostic]:
             )
         if spec.goldens and spec.golden_exempt:
             diagnostics.append(
-                _diagnostic(
+                M307_RULE.diagnostic(
                     f"driver {name!r} declares both golden values and a "
                     "golden_exempt reason; pick one",
                     obj=obj,
@@ -98,7 +88,7 @@ def lint_experiments() -> List[Diagnostic]:
         for golden in spec.goldens:
             if golden.key in seen:
                 diagnostics.append(
-                    _diagnostic(
+                    M307_RULE.diagnostic(
                         f"driver {name!r} declares golden key {golden.key!r} "
                         "more than once",
                         obj=obj,
@@ -107,7 +97,7 @@ def lint_experiments() -> List[Diagnostic]:
             seen.add(golden.key)
             if golden.key not in spec.metric_keys:
                 diagnostics.append(
-                    _diagnostic(
+                    M307_RULE.diagnostic(
                         f"driver {name!r} golden key {golden.key!r} is not in "
                         "its metric_keys, so the watchdog can never find the "
                         "measured value",
@@ -118,7 +108,7 @@ def lint_experiments() -> List[Diagnostic]:
                 )
             if golden.tolerance < 0:
                 diagnostics.append(
-                    _diagnostic(
+                    M307_RULE.diagnostic(
                         f"driver {name!r} golden {golden.key!r} has a negative "
                         f"tolerance ({golden.tolerance!r})",
                         obj=obj,
@@ -126,7 +116,7 @@ def lint_experiments() -> List[Diagnostic]:
                 )
             if golden.kind not in GOLDEN_KINDS:
                 diagnostics.append(
-                    _diagnostic(
+                    M307_RULE.diagnostic(
                         f"driver {name!r} golden {golden.key!r} has unknown "
                         f"kind {golden.kind!r}; allowed: {', '.join(GOLDEN_KINDS)}",
                         obj=obj,

@@ -8,20 +8,23 @@ keep consistent (see docs/LINT.md for the full catalog with examples):
   anomalies, duplicate component names.
 * ``M2xx`` — clock tree: undriven clocks, frequencies the integer
   picosecond grid cannot realize, negative per-hertz power.
-* ``M3xx`` — platform-state FSM and flows: unreachable states, states
-  with no path back to Active, wake-event types left unhandled, flow
-  steps referencing unknown or already-gated-off power domains.
+* ``M3xx`` — platform-state FSM and flows: wake-event types left
+  unhandled, flow steps referencing unknown power domains, flow-span
+  and macro-ledger declarations out of step with the model.  Reachability
+  and flow ordering (unreachable states, no path back to Active, steps
+  requiring a gated-off domain) are proven by the exhaustive checker's
+  C101-C103 instead (:mod:`repro.check.explore`).
 
-Every rule is a pure function over a :class:`~repro.lint.model.ModelView`
-yielding :class:`~repro.lint.diagnostics.Diagnostic` values.
+Every rule is a :class:`~repro.lint.diagnostics.Rule` paired with a pure
+function over a :class:`~repro.lint.model.ModelView` yielding
+:class:`~repro.lint.diagnostics.Diagnostic` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Set, Tuple
 
-from repro.lint.diagnostics import Diagnostic, Location, Severity
+from repro.lint.diagnostics import Diagnostic, Rule, Severity
 from repro.lint.model import FlowView, ModelView
 from repro.units import parts_per_million
 
@@ -30,34 +33,14 @@ from repro.units import parts_per_million
 FREQUENCY_GRID_TOLERANCE_PPM = 50.0
 
 
-@dataclass(frozen=True)
-class ModelRule:
-    """One verifier rule: identity plus its check function."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    summary: str
-    check_fn: Callable[["ModelRule", ModelView], Iterator[Diagnostic]]
-
-    def check(self, view: ModelView) -> Iterator[Diagnostic]:
-        return self.check_fn(self, view)
-
-    def diagnostic(self, message: str, obj: str, hint: str = "") -> Diagnostic:
-        return Diagnostic(
-            rule=self.rule_id,
-            name=self.name,
-            severity=self.severity,
-            message=message,
-            location=Location(obj=obj),
-            hint=hint or None,
-        )
+#: A model rule's check: the rule (for its diagnostics) and the view.
+ModelCheck = Callable[[Rule, ModelView], Iterator[Diagnostic]]
 
 
 # --- M1xx: power tree --------------------------------------------------------
 
 
-def _check_orphan_component(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_orphan_component(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     for component in view.components:
         domain = component.domain
         if domain is None:
@@ -78,7 +61,7 @@ def _check_orphan_component(rule: ModelRule, view: ModelView) -> Iterator[Diagno
         # domain's problem: M102 flags it once, without per-component noise
 
 
-def _check_orphan_domain(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_orphan_domain(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     if view.tree is None:
         return
     registered = {id(domain) for domain in view.registered_domains()}
@@ -92,7 +75,7 @@ def _check_orphan_domain(rule: ModelRule, view: ModelView) -> Iterator[Diagnosti
             )
 
 
-def _check_rail_regulator(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_rail_regulator(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     for rail in view.rails:
         if getattr(rail, "regulator", None) is None:
             yield rule.diagnostic(
@@ -103,7 +86,7 @@ def _check_rail_regulator(rule: ModelRule, view: ModelView) -> Iterator[Diagnost
             )
 
 
-def _check_multiply_owned(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_multiply_owned(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     owners: Dict[int, List[str]] = {}
     names: Dict[int, str] = {}
     for rail in view.tree_rails():
@@ -128,7 +111,7 @@ def _ownership_children(node: object) -> Tuple[object, ...]:
     return ()
 
 
-def _check_cycle(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_cycle(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     if view.tree is None:
         return
     path: List[str] = []
@@ -160,7 +143,7 @@ def _check_cycle(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
         )
 
 
-def _check_undriveable_gate(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_undriveable_gate(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     for gate in view.gates:
         if hasattr(gate, "control_gpio") and gate.control_gpio is None:
             yield rule.diagnostic(
@@ -171,7 +154,7 @@ def _check_undriveable_gate(rule: ModelRule, view: ModelView) -> Iterator[Diagno
             )
 
 
-def _check_negative_power(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_negative_power(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     for component in view.components:
         if component.leakage_watts < 0 or component.dynamic_watts < 0:
             yield rule.diagnostic(
@@ -205,7 +188,7 @@ def _check_negative_power(rule: ModelRule, view: ModelView) -> Iterator[Diagnost
             )
 
 
-def _check_duplicate_names(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_duplicate_names(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     seen: Dict[str, int] = {}
     for domain in view.registered_domains():
         for component in domain.components:
@@ -223,7 +206,7 @@ def _check_duplicate_names(rule: ModelRule, view: ModelView) -> Iterator[Diagnos
 # --- M2xx: clock tree --------------------------------------------------------
 
 
-def _check_undriven_clock(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_undriven_clock(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     crystal_ids = {id(crystal) for crystal in view.crystals}
     clock_ids = {id(clock) for clock in view.clocks}
     for clock in view.clocks:
@@ -252,7 +235,7 @@ def _check_undriven_clock(rule: ModelRule, view: ModelView) -> Iterator[Diagnost
             )
 
 
-def _check_frequency_grid(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_frequency_grid(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     for crystal in view.crystals:
         intended_hz = parts_per_million(crystal.nominal_hz, crystal.ppm_error)
         error_ppm = abs(crystal.effective_hz - intended_hz) / intended_hz * 1e6
@@ -273,7 +256,7 @@ def _check_frequency_grid(rule: ModelRule, view: ModelView) -> Iterator[Diagnost
             )
 
 
-def _check_clock_power(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_clock_power(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     for buffer in view.buffers:
         if buffer.watts_per_hz < 0 or buffer.static_watts < 0:
             yield rule.diagnostic(
@@ -293,55 +276,11 @@ def _check_clock_power(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]
 # --- M3xx: FSM and flows -----------------------------------------------------
 
 
-def _reachable(start: object, transitions: Dict[object, Tuple[object, ...]]) -> Set[object]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop()
-        for target in transitions.get(state, ()):
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return seen
-
-
 def _state_name(state: object) -> str:
     return getattr(state, "name", str(state))
 
 
-def _check_unreachable_state(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
-    fsm = view.fsm
-    if fsm is None:
-        return
-    reachable = _reachable(fsm.initial, fsm.transitions)
-    for state in fsm.states:
-        if state not in reachable:
-            yield rule.diagnostic(
-                f"platform state {_state_name(state)} is unreachable from "
-                f"{_state_name(fsm.initial)}",
-                obj=f"fsm state {_state_name(state)}",
-                hint="add the missing transition or delete the dead state",
-            )
-
-
-def _check_no_exit_path(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
-    fsm = view.fsm
-    if fsm is None:
-        return
-    reachable_from_initial = _reachable(fsm.initial, fsm.transitions)
-    for state in fsm.states:
-        if state not in reachable_from_initial or state is fsm.active:
-            continue
-        if fsm.active not in _reachable(state, fsm.transitions):
-            yield rule.diagnostic(
-                f"platform state {_state_name(state)} has no path back to "
-                f"{_state_name(fsm.active)}; the platform would idle forever",
-                obj=f"fsm state {_state_name(state)}",
-                hint="every idle/transition state needs an exit flow to Active",
-            )
-
-
-def _check_unhandled_wake(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_unhandled_wake(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     fsm = view.fsm
     if fsm is None:
         return
@@ -364,7 +303,7 @@ def _flow_domain_names(flow: FlowView) -> Iterator[Tuple[object, str]]:
                 yield step, name
 
 
-def _check_flow_unknown_domain(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_flow_unknown_domain(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     if view.tree is None:
         return
     known = view.registered_domain_names()
@@ -379,7 +318,7 @@ def _check_flow_unknown_domain(rule: ModelRule, view: ModelView) -> Iterator[Dia
                 )
 
 
-def _check_flow_span_discipline(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_flow_span_discipline(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     """Every instrumented flow step must open and close exactly one span.
 
     The flow controller tiles a flow with step spans keyed by the
@@ -431,25 +370,7 @@ def _check_flow_span_discipline(rule: ModelRule, view: ModelView) -> Iterator[Di
             )
 
 
-def _check_flow_gated_domain(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
-    for flow in view.flows:
-        gated: Dict[str, str] = {}  # domain name -> label of the step that gated it
-        for step in flow.steps:
-            for name in getattr(step, "requires", ()):
-                if name in gated:
-                    yield rule.diagnostic(
-                        f"flow {flow.name!r} step {step.label!r} requires power domain "
-                        f"{name!r}, but step {gated[name]!r} already gated it off",
-                        obj=f"flow {flow.name}:{step.label}",
-                        hint="reorder the flow or re-enable the domain first",
-                    )
-            for name in getattr(step, "gates_off", ()):
-                gated.setdefault(name, step.label)
-            for name in getattr(step, "gates_on", ()):
-                gated.pop(name, None)
-
-
-def _check_macro_ledger_coverage(rule: ModelRule, view: ModelView) -> Iterator[Diagnostic]:
+def _check_macro_ledger_coverage(rule: Rule, view: ModelView) -> Iterator[Diagnostic]:
     declared = view.macro_ledger_rails
     if declared is None:
         return  # platform does not support macro-stepping; nothing to cover
@@ -473,17 +394,14 @@ def _check_macro_ledger_coverage(rule: ModelRule, view: ModelView) -> Iterator[D
 
 
 def _rule(
-    rule_id: str,
-    name: str,
-    summary: str,
-    check_fn: Callable[[ModelRule, ModelView], Iterator[Diagnostic]],
-    severity: Severity = Severity.ERROR,
-) -> ModelRule:
-    return ModelRule(rule_id, name, severity, summary, check_fn)
+    rule_id: str, name: str, summary: str, check: ModelCheck
+) -> Tuple[Rule, ModelCheck]:
+    return Rule(rule_id, name, Severity.ERROR, summary), check
 
 
-#: The model-verifier rule catalog, in catalog order.
-MODEL_RULES: Tuple[ModelRule, ...] = (
+#: The model-verifier rule catalog, in catalog order: each rule paired
+#: with its check.
+MODEL_RULES: Tuple[Tuple[Rule, ModelCheck], ...] = (
     _rule("M101", "orphan-component", "component not attached to a powered domain",
           _check_orphan_component),
     _rule("M102", "domain-without-rail", "power domain not owned by any rail",
@@ -506,16 +424,10 @@ MODEL_RULES: Tuple[ModelRule, ...] = (
           _check_frequency_grid),
     _rule("M203", "negative-clock-power", "negative clock power coefficient",
           _check_clock_power),
-    _rule("M301", "unreachable-state", "FSM state unreachable from the initial state",
-          _check_unreachable_state),
-    _rule("M302", "no-exit-path", "FSM state with no path back to Active",
-          _check_no_exit_path),
     _rule("M303", "unhandled-wake", "wake event type unhandled in a receptive state",
           _check_unhandled_wake),
     _rule("M304", "flow-unknown-domain", "flow step references a non-existent domain",
           _check_flow_unknown_domain),
-    _rule("M305", "flow-gated-domain", "flow step requires a domain gated off earlier",
-          _check_flow_gated_domain),
     _rule("M306", "flow-span-discipline", "instrumented flow step must open and close its span",
           _check_flow_span_discipline),
     _rule("M308", "macro-ledger-coverage", "macro ledger declaration must cover every powered rail",

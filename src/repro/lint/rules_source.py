@@ -19,17 +19,19 @@ and call site respects them.  These rules encode the discipline:
 * ``S406 ps-annotation`` — ``*_ps`` parameters or returns annotated
   ``float`` (and ``*_watts`` annotated ``int``).
 
-Every rule is a pure function over a parsed module yielding
-:class:`~repro.lint.diagnostics.Diagnostic` values.
+Every rule is a :class:`~repro.lint.diagnostics.Rule` paired with a pure
+function over a parsed module yielding
+:class:`~repro.lint.diagnostics.Diagnostic` values.  ``S400`` (syntax
+error) and ``S407`` (unknown pragma rule) are reported by the module
+driver in :mod:`repro.lint.source`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from repro.lint.diagnostics import Diagnostic, Location, Severity
+from repro.lint.diagnostics import Diagnostic, Rule, Severity
 
 #: Calls that read the host's wall clock; simulation code must use
 #: ``kernel.now`` instead.
@@ -61,30 +63,18 @@ _DISCOURAGED_SUFFIXES: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class SourceRule:
-    """One source-checker rule: identity plus its check function."""
+#: A source rule's check: the rule, the parsed module and its file name.
+SourceCheck = Callable[[Rule, ast.Module, str], Iterator[Diagnostic]]
 
-    rule_id: str
-    name: str
-    severity: Severity
-    summary: str
-    check_fn: Callable[["SourceRule", ast.Module, str], Iterator[Diagnostic]]
+#: A module that does not parse (reported, never raised).
+S400_RULE = Rule("S400", "syntax-error", Severity.ERROR, "module does not parse")
 
-    def check(self, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
-        return self.check_fn(self, tree, filename)
-
-    def diagnostic(
-        self, message: str, filename: str, line: int, hint: str = ""
-    ) -> Diagnostic:
-        return Diagnostic(
-            rule=self.rule_id,
-            name=self.name,
-            severity=self.severity,
-            message=message,
-            location=Location(file=filename, line=line),
-            hint=hint or None,
-        )
+#: An allow pragma naming a rule no catalog registers; checked by the
+#: pragma scanner in :mod:`repro.lint.source`.
+S407_RULE = Rule(
+    "S407", "unknown-pragma-rule", Severity.WARNING,
+    "allow pragma names a rule id that exists in no catalog",
+)
 
 
 # --- helpers -----------------------------------------------------------------
@@ -141,7 +131,7 @@ def _float_taint(node: ast.expr) -> Optional[ast.expr]:
 # --- S401: wall-clock time in simulation code --------------------------------
 
 
-def _check_wallclock(rule: SourceRule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
+def _check_wallclock(rule: Rule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
     aliases = _module_aliases(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -165,8 +155,8 @@ def _check_wallclock(rule: SourceRule, tree: ast.Module, filename: str) -> Itera
         if offender is not None:
             yield rule.diagnostic(
                 f"{offender} reads the host wall clock inside simulation code",
-                filename,
-                node.lineno,
+                file=filename,
+                line=node.lineno,
                 hint="simulated time is kernel.now (integer picoseconds)",
             )
 
@@ -191,7 +181,7 @@ def _ps_targets(node: ast.stmt) -> Iterator[Tuple[str, ast.expr]]:
             yield name, node.value
 
 
-def _check_float_into_ps(rule: SourceRule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
+def _check_float_into_ps(rule: Rule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             for name, value in _ps_targets(node):
@@ -200,8 +190,8 @@ def _check_float_into_ps(rule: SourceRule, tree: ast.Module, filename: str) -> I
                     yield rule.diagnostic(
                         f"float-producing expression assigned to {name!r}; simulated "
                         "time must be integer picoseconds",
-                        filename,
-                        taint.lineno,
+                        file=filename,
+                        line=taint.lineno,
                         hint="wrap the expression in round(...) or int(...)",
                     )
         elif isinstance(node, ast.Call):
@@ -212,8 +202,8 @@ def _check_float_into_ps(rule: SourceRule, tree: ast.Module, filename: str) -> I
                         yield rule.diagnostic(
                             f"float-producing expression passed to {keyword.arg!r}=; "
                             "simulated time must be integer picoseconds",
-                            filename,
-                            taint.lineno,
+                            file=filename,
+                            line=taint.lineno,
                             hint="wrap the expression in round(...) or int(...)",
                         )
 
@@ -226,7 +216,7 @@ def _is_power_name(node: ast.expr) -> bool:
     return name is not None and name.endswith(_POWER_SUFFIXES)
 
 
-def _check_float_eq_power(rule: SourceRule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
+def _check_float_eq_power(rule: Rule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Compare):
             continue
@@ -237,8 +227,8 @@ def _check_float_eq_power(rule: SourceRule, tree: ast.Module, filename: str) -> 
         if offender is not None:
             yield rule.diagnostic(
                 f"exact float equality on power/energy value {_terminal_name(offender)!r}",
-                filename,
-                node.lineno,
+                file=filename,
+                line=node.lineno,
                 hint="compare with <=/>= against a threshold, or math.isclose()",
             )
 
@@ -246,7 +236,7 @@ def _check_float_eq_power(rule: SourceRule, tree: ast.Module, filename: str) -> 
 # --- S404: mutable default arguments -----------------------------------------
 
 
-def _check_mutable_default(rule: SourceRule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
+def _check_mutable_default(rule: Rule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -261,8 +251,8 @@ def _check_mutable_default(rule: SourceRule, tree: ast.Module, filename: str) ->
             if mutable:
                 yield rule.diagnostic(
                     f"mutable default argument in {node.name}()",
-                    filename,
-                    default.lineno,
+                    file=filename,
+                    line=default.lineno,
                     hint="default to None and create the container in the body",
                 )
 
@@ -285,7 +275,7 @@ def _signature_args(node: ast.FunctionDef) -> Iterator[ast.arg]:
         yield arg
 
 
-def _check_unit_suffix(rule: SourceRule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
+def _check_unit_suffix(rule: Rule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
     for func in _public_functions(tree):
         for arg in _signature_args(func):
             for suffix, instead in _DISCOURAGED_SUFFIXES.items():
@@ -293,8 +283,8 @@ def _check_unit_suffix(rule: SourceRule, tree: ast.Module, filename: str) -> Ite
                     yield rule.diagnostic(
                         f"parameter {arg.arg!r} of public function {func.name}() uses "
                         f"the non-canonical unit suffix {suffix!r}",
-                        filename,
-                        arg.lineno,
+                        file=filename,
+                        line=arg.lineno,
                         hint=f"use {instead}",
                     )
                     break
@@ -306,7 +296,7 @@ def _annotation_name(annotation: Optional[ast.expr]) -> Optional[str]:
     return _terminal_name(annotation)
 
 
-def _check_ps_annotation(rule: SourceRule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
+def _check_ps_annotation(rule: Rule, tree: ast.Module, filename: str) -> Iterator[Diagnostic]:
     for func in _public_functions(tree):
         for arg in _signature_args(func):
             annotated = _annotation_name(arg.annotation)
@@ -314,16 +304,16 @@ def _check_ps_annotation(rule: SourceRule, tree: ast.Module, filename: str) -> I
                 yield rule.diagnostic(
                     f"parameter {arg.arg!r} of {func.name}() is annotated float; "
                     "*_ps values are integer picoseconds",
-                    filename,
-                    arg.lineno,
+                    file=filename,
+                    line=arg.lineno,
                     hint="annotate as int (convert with units.seconds_to_ps)",
                 )
             elif arg.arg.endswith(("_watts", "_joules")) and annotated == "int":
                 yield rule.diagnostic(
                     f"parameter {arg.arg!r} of {func.name}() is annotated int; "
                     "power/energy values are floats",
-                    filename,
-                    arg.lineno,
+                    file=filename,
+                    line=arg.lineno,
                     hint="annotate as float",
                 )
         returns = _annotation_name(func.returns)
@@ -331,8 +321,8 @@ def _check_ps_annotation(rule: SourceRule, tree: ast.Module, filename: str) -> I
             yield rule.diagnostic(
                 f"function {func.name}() returns float; *_ps values are integer "
                 "picoseconds",
-                filename,
-                func.lineno,
+                file=filename,
+                line=func.lineno,
                 hint="return int (round at the boundary)",
             )
 
@@ -341,14 +331,14 @@ def _rule(
     rule_id: str,
     name: str,
     summary: str,
-    check_fn: Callable[[SourceRule, ast.Module, str], Iterator[Diagnostic]],
+    check: SourceCheck,
     severity: Severity = Severity.ERROR,
-) -> SourceRule:
-    return SourceRule(rule_id, name, severity, summary, check_fn)
+) -> Tuple[Rule, SourceCheck]:
+    return Rule(rule_id, name, severity, summary), check
 
 
-#: The source-checker rule catalog, in catalog order.
-SOURCE_RULES: Tuple[SourceRule, ...] = (
+#: The AST rule catalog, in catalog order: each rule paired with its check.
+SOURCE_RULES: Tuple[Tuple[Rule, SourceCheck], ...] = (
     _rule("S401", "wallclock-in-sim", "host wall clock read in simulation code",
           _check_wallclock),
     _rule("S402", "float-into-ps", "float expression flowing into a *_ps slot",
@@ -361,7 +351,6 @@ SOURCE_RULES: Tuple[SourceRule, ...] = (
           _check_unit_suffix, severity=Severity.WARNING),
     _rule("S406", "ps-annotation", "unit-suffixed name with a contradicting annotation",
           _check_ps_annotation),
-    # S407 (unknown lint pragma) lives in repro.lint.source next to the
-    # pragma scanner it checks.  S408 (exact histogram in a hot path) is
-    # retired: BoundedHistogram is the only histogram type.
+    # S408 (exact histogram in a hot path) is retired: BoundedHistogram
+    # is the only histogram type.
 )

@@ -31,22 +31,8 @@ from repro.lint.astcache import (  # noqa: F401  (re-exported legacy names)
     default_source_root,
     iter_python_files,
 )
-from repro.lint.diagnostics import Diagnostic, Location, Severity, sort_diagnostics
-
-#: Identity of the pragma-hygiene rule (registered alongside S401-S406).
-S407_RULE = "S407"
-S407_NAME = "unknown-pragma-rule"
-
-
-def _syntax_diagnostic(filename: str, error: SyntaxError) -> Diagnostic:
-    return Diagnostic(
-        rule="S400",
-        name="syntax-error",
-        severity=Severity.ERROR,
-        message=f"cannot parse: {error.msg}",
-        location=Location(file=filename, line=error.lineno or 1),
-        hint=None,
-    )
+from repro.lint.diagnostics import Diagnostic, sort_diagnostics
+from repro.lint.rules_source import S400_RULE, S407_RULE, SOURCE_RULES
 
 
 #: ``# lint: allow(S401)`` / ``# lint: allow(S401, S403)`` pragma.
@@ -122,7 +108,7 @@ def allow_map_for(source: str, tree: ast.AST) -> Dict[int, Set[str]]:
 def _known_rule_ids() -> Set[str]:
     from repro.lint import all_rules
 
-    return {rule_id for rule_id, _name in all_rules()}
+    return {rule.rule_id for rule in all_rules()}
 
 
 def _unknown_pragma_diagnostics(
@@ -138,12 +124,10 @@ def _unknown_pragma_diagnostics(
     for line_no in sorted(allows):
         for rule_id in sorted(allows[line_no] - known):
             diagnostics.append(
-                Diagnostic(
-                    rule=S407_RULE,
-                    name=S407_NAME,
-                    severity=Severity.WARNING,
-                    message=f"allow pragma names unknown rule {rule_id!r}",
-                    location=Location(file=filename, line=line_no),
+                S407_RULE.diagnostic(
+                    f"allow pragma names unknown rule {rule_id!r}",
+                    file=filename,
+                    line=line_no,
                     hint="see docs/LINT.md and docs/CHECK.md for the rule catalogs",
                 )
             )
@@ -163,17 +147,20 @@ def lint_module(module: ParsedModule) -> List[Diagnostic]:
     prefixes.  Passing the same :class:`ParsedModule` the interprocedural
     check passes consume means the file is parsed once for all of them.
     """
-    from repro.lint.rules_source import SOURCE_RULES
-
     if module.tree is None:
-        assert module.syntax_error is not None
-        return [_syntax_diagnostic(module.filename, module.syntax_error)]
+        error = module.syntax_error
+        assert error is not None
+        return [
+            S400_RULE.diagnostic(
+                f"cannot parse: {error.msg}", file=module.filename, line=error.lineno or 1
+            )
+        ]
     allows = module.allows
     diagnostics: List[Diagnostic] = []
-    for rule in SOURCE_RULES:
+    for rule, check in SOURCE_RULES:
         diagnostics.extend(
             diag
-            for diag in rule.check(module.tree, module.filename)
+            for diag in check(rule, module.tree, module.filename)
             if not _suppressed(diag, allows)
         )
     diagnostics.extend(

@@ -10,8 +10,8 @@ terminal summaries.  Three host-side companions watch the repo itself: the
 run under ``.repro/runs/``, consumed by ``python -m repro report``), the
 :mod:`~repro.obs.profile` phase profiler (host wall time and peak
 allocations per build/simulate/measure/analyze phase), and the
-:mod:`~repro.obs.stream` live-telemetry pipeline (bounded histograms,
-heartbeats, and rolling windows feeding the
+:mod:`~repro.obs.stream` live-telemetry pipeline (bounded histograms
+and heartbeats feeding the
 :mod:`~repro.obs.openmetrics` exposition and the
 :mod:`~repro.obs.dash` fleet dashboard).
 
@@ -94,7 +94,7 @@ _LAZY_MODULES = {
         "uninstall_recorder",
     ),
     "repro.obs.stream": (
-        "RollingWindow", "TelemetryStream", "install_stream",
+        "TelemetryStream", "install_stream",
         "merge_worker_heartbeats", "read_heartbeat_dir", "record_worker_point",
         "uninstall_stream",
     ),

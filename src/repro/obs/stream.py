@@ -8,7 +8,6 @@ into bounded-memory structures **while a run executes**:
 
 * :class:`~repro.obs.metrics.BoundedHistogram` instances (base-1.2 log
   buckets, exact count/sum/min/max, mergeable across worker processes);
-* :class:`RollingWindow` aggregates over *simulated* time;
 * per-source progress **heartbeats** — cycles done vs target, events per
   wall second, simulated-vs-wall ratio, and an ETA — emitted from the
   :class:`~repro.workloads.standby.ConnectedStandbyRunner` cycle loop,
@@ -40,12 +39,10 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from pathlib import Path
-from typing import Any, ClassVar, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
 from repro.effects import declares_effects
-from repro.errors import MeasurementError
 from repro.obs.metrics import BoundedHistogram
 from repro.obs.runlog import host_wall_s
 from repro.obs.session import attach, detach
@@ -63,65 +60,6 @@ WORKER_HEARTBEAT_PREFIX = "worker-"
 
 #: File-name prefix of in-process heartbeat files in a heartbeat dir.
 SOURCE_HEARTBEAT_PREFIX = "hb-"
-
-
-class RollingWindow:
-    """A bounded rolling aggregate over *simulated* time.
-
-    Keeps at most ``maxlen`` recent ``(time_ps, value)`` samples inside a
-    trailing window of ``window_ps`` simulated picoseconds; older samples
-    are evicted as new ones arrive.  Memory is bounded by ``maxlen``
-    regardless of horizon length, so week-scale macro runs can keep a
-    live "recent cycles" view without accumulating history.
-    """
-
-    __slots__ = ("name", "window_ps", "_samples")
-
-    def __init__(self, name: str, window_ps: int, maxlen: int = 4096) -> None:
-        if window_ps <= 0:
-            raise MeasurementError(
-                f"rolling window {name!r} needs a positive span (got {window_ps} ps)"
-            )
-        self.name = name
-        self.window_ps = window_ps
-        self._samples: Deque[Tuple[int, float]] = deque(maxlen=maxlen)
-
-    def observe(self, time_ps: int, value: float) -> None:
-        self._samples.append((time_ps, float(value)))
-        horizon = time_ps - self.window_ps
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def total(self) -> float:
-        return sum(value for _time_ps, value in self._samples)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self._samples) if self._samples else 0.0
-
-    def rate_per_sim_second(self) -> float:
-        """Samples per simulated second across the retained span."""
-        if len(self._samples) < 2:
-            return 0.0
-        span_ps = self._samples[-1][0] - self._samples[0][0]
-        if span_ps <= 0:
-            return 0.0
-        return (len(self._samples) - 1) / (span_ps / PICOSECONDS_PER_SECOND)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "window_ps": self.window_ps,
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "rate_per_sim_s": self.rate_per_sim_second(),
-        }
 
 
 @declares_effects("fs")  # atomic heartbeat replace is the sink's contract
@@ -163,7 +101,7 @@ def _heartbeat_payload(
 class TelemetryStream:
     """Live bounded-memory aggregation for one observed run or sweep.
 
-    Collects bounded histograms, rolling windows, labels (experiment
+    Collects bounded histograms, labels (experiment
     name, config fingerprint — the OpenMetrics exemplar payload), and
     the latest heartbeat per source.  With ``heartbeat_dir`` set, every
     heartbeat is also mirrored to an atomically-replaced JSON file so
@@ -179,7 +117,6 @@ class TelemetryStream:
     ) -> None:
         self.heartbeat_dir = Path(heartbeat_dir) if heartbeat_dir is not None else None
         self.histograms: Dict[str, BoundedHistogram] = {}
-        self.windows: Dict[str, RollingWindow] = {}
         self.heartbeats: Dict[str, Dict[str, Any]] = {}
         self.labels: Dict[str, str] = {}
         self._epoch_s = host_wall_s()
@@ -190,12 +127,6 @@ class TelemetryStream:
         instrument = self.histograms.get(name)
         if instrument is None:
             instrument = self.histograms[name] = BoundedHistogram(name)
-        return instrument
-
-    def window(self, name: str, window_ps: int) -> RollingWindow:
-        instrument = self.windows.get(name)
-        if instrument is None:
-            instrument = self.windows[name] = RollingWindow(name, window_ps)
         return instrument
 
     def set_label(self, key: str, value: str) -> None:
@@ -275,10 +206,6 @@ class TelemetryStream:
             "histograms": {
                 name: hist.snapshot()
                 for name, hist in sorted(self.histograms.items())
-            },
-            "windows": {
-                name: window.snapshot()
-                for name, window in sorted(self.windows.items())
             },
             "heartbeats": {
                 source: dict(payload)

@@ -17,6 +17,7 @@ from repro.check.explore import explore
 from repro.check.invariants import BUILTIN_INVARIANTS, select_invariants
 from repro.check.ts import compile_transition_system
 from repro.core.techniques import TechniqueSet
+from repro.errors import ConfigError
 from repro.lint.model import walk_model
 from repro.system.flows import FlowStepSpec
 from repro.system.skylake import SkylakePlatform
@@ -179,5 +180,5 @@ def test_invariant_selection_narrows_the_checked_set():
 
 
 def test_unknown_invariant_name_raises():
-    with pytest.raises(ValueError, match="unknown invariant"):
+    with pytest.raises(ConfigError, match="unknown invariant"):
         select_invariants(("no-such-invariant",))

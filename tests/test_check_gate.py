@@ -9,6 +9,9 @@ same ``pytest`` invocation CI already runs — exactly like the lint gate.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.check import (
@@ -94,20 +97,39 @@ def test_state_space_cache_makes_repeat_checks_free():
 
 
 def test_rule_registry_is_single_and_collision_free():
-    """Satellite: one registry serves lint and check; ids never collide."""
-    pairs = all_rules()
-    ids = [rule_id for rule_id, _ in pairs]
+    """One registry serves lint and check; ids and names never collide."""
+    rules = all_rules()
+    ids = [rule.rule_id for rule in rules]
     assert len(ids) == len(set(ids)), "duplicate rule ids in the registry"
-    names = [name for _, name in pairs]
+    names = [rule.name for rule in rules]
     assert len(names) == len(set(names)), "duplicate rule names in the registry"
     registered = set(ids)
-    assert {rule.rule_id for rule in CHECK_RULES} <= registered
-    assert "S407" in registered
+    assert set(CHECK_RULES) <= set(rules)
+    assert {"S400", "S407", "M307"} <= registered
     # C-series patterns validate exactly like M/S patterns
-    validate_rule_patterns(["C1", "C101", "deadlock", "arith-unit-mismatch"], pairs)
+    validate_rule_patterns(["C1", "C101", "deadlock", "arith-unit-mismatch"], rules)
+
+
+#: A rule row of a docs table: ``| M101 | `orphan-component` ...``.
+_DOC_RULE_ROW = re.compile(r"^\| ([MSC]\d{3}) \| `([a-z0-9-]+)`", re.MULTILINE)
+
+
+def test_rule_registry_matches_the_doc_tables():
+    """Every registered rule has a docs row and every row is registered.
+
+    The C5xx table lives in docs/EFFECTS.md, which docs/CHECK.md defers
+    to.  Struck-through rows of retired rules do not match.
+    """
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    documented = {}
+    for name in ("LINT.md", "CHECK.md", "EFFECTS.md"):
+        text = (docs / name).read_text(encoding="utf-8")
+        documented.update(_DOC_RULE_ROW.findall(text))
+    registered = {rule.rule_id: rule.name for rule in all_rules()}
+    assert documented == registered
 
 
 def test_every_builtin_invariant_is_registered():
-    registered = {rule_id for rule_id, _ in all_rules()}
+    registered = {rule.rule_id for rule in all_rules()}
     for invariant in BUILTIN_INVARIANTS:
         assert invariant.rule.rule_id in registered

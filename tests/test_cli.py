@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMAND_TABLE, FLAGS, build_parser, main
 
 
 class TestParser:
@@ -129,3 +131,44 @@ class TestObservabilityFlags:
         assert "Counters" in out
         assert "kernel.events:" in out
         assert "Spans" not in out
+
+
+class TestPerCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["lint", "--budgets"],
+        ["fig2", "--perturb", "dram-self-refresh=2"],
+        ["report", "--max-states", "3"],
+        ["check", "--html", "x"],
+        ["trace", "--break-even"],
+    ])
+    def test_wrong_command_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_TABLE))
+    def test_help_lists_only_the_commands_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        _handler, _summary, arguments = COMMAND_TABLE[command]
+        assert listed == {a for a in arguments if a.startswith("--")} | {"--help"}
+
+    def test_every_argument_is_defined_once(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if a.dest == "experiment"]
+        names = {"experiment"}
+        for sub in commands.choices.values():
+            names.update(
+                action.option_strings[-1] if action.option_strings else action.dest
+                for action in sub._actions
+                if action.dest != "help"
+            )
+        assert names == {"experiment", *FLAGS}
+        assert len(names) == 33
+
+    def test_usage_errors_exit_2_without_a_traceback(self, capsys):
+        assert main(["check", "--max-states", "0"]) == 2
+        assert "--max-states must be a positive integer" in capsys.readouterr().err

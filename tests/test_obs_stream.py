@@ -3,7 +3,7 @@
 Covers the streaming-telemetry tentpole end to end — the
 :class:`~repro.obs.metrics.BoundedHistogram` edge cases the ISSUE pins
 (empty percentile, disjoint-range merges, negative/zero values, snapshot
-round-trips), the rolling windows, the heartbeat files, the sweep
+round-trips), the heartbeat files, the sweep
 fan-out (serial and forced-parallel, the merge-correctness acceptance
 anchor), and the bit-for-bit purity guarantee: simulation results are
 identical with and without a stream installed.
@@ -23,7 +23,6 @@ from repro.obs.metrics import BoundedHistogram, MetricsRegistry
 from repro.obs.session import current, observe
 from repro.obs.stream import (
     HEARTBEAT_SCHEMA,
-    RollingWindow,
     TelemetryStream,
     install_stream,
     merge_worker_heartbeats,
@@ -150,32 +149,6 @@ class TestBoundedHistogram:
         assert snap["a"]["count"] == 1 and snap["a"]["total"] == 2.0
 
 
-class TestRollingWindow:
-    def test_evicts_outside_simulated_window(self):
-        window = RollingWindow("w", window_ps=100)
-        window.observe(0, 1.0)
-        window.observe(50, 2.0)
-        window.observe(160, 3.0)  # horizon 60: evicts t=0 and t=50
-        assert window.count == 1
-        assert window.total == 3.0
-
-    def test_non_positive_span_raises(self):
-        with pytest.raises(MeasurementError):
-            RollingWindow("w", window_ps=0)
-
-    def test_rate_per_sim_second(self):
-        window = RollingWindow("w", window_ps=10 * PICOSECONDS_PER_SECOND)
-        window.observe(0, 1.0)
-        window.observe(PICOSECONDS_PER_SECOND, 1.0)
-        assert window.rate_per_sim_second() == pytest.approx(1.0)
-
-    def test_maxlen_bounds_memory(self):
-        window = RollingWindow("w", window_ps=10**15, maxlen=8)
-        for index in range(100):
-            window.observe(index, 1.0)
-        assert window.count == 8
-
-
 class TestTelemetryStream:
     def test_heartbeat_payload_shape(self):
         stream = TelemetryStream()
@@ -213,11 +186,10 @@ class TestTelemetryStream:
         stream.set_label("experiment", "fig2")
         stream.histogram("b").observe(1.0)
         stream.histogram("a").observe(2.0)
-        stream.window("w", window_ps=100).observe(10, 1.0)
         stream.heartbeat("runner", done=1, total=1)
         snap = json.loads(json.dumps(stream.snapshot()))
         assert list(snap["histograms"]) == ["a", "b"]
-        assert snap["windows"]["w"]["count"] == 1
+        assert list(snap) == ["labels", "histograms", "heartbeats"]
         assert snap["labels"] == {"experiment": "fig2"}
 
 
