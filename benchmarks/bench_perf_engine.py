@@ -607,3 +607,51 @@ def test_mee_bulk_context(benchmark, emit):
         f"{per_block_s * 1e3:.0f} ms ({speedup:.1f}x; DRAM pages, root and "
         "stats identical)"
     )
+
+
+#: Context synthesis must sustain at least this throughput (MB/s) on each
+#: default blob (the regress watchdog carries the floor).
+MIN_CONTEXT_SYNTHESIS_MB_PER_S = 100.0
+
+
+def test_context_synthesis(benchmark, emit):
+    """Throughput of the per-cycle context blobs of the default inventory.
+
+    Every exact standby cycle synthesizes the 64 KiB system-agent blob and
+    the 136 KiB cores + graphics blob; the figure is the slower of the two,
+    best of 20 calls each.
+    """
+    from repro.config import ContextInventory
+    from repro.processor.core import synthesize_context
+
+    inventory = ContextInventory()
+    blobs = {
+        "system_agent": inventory.system_agent_bytes,
+        "compute": inventory.cores_bytes + inventory.graphics_bytes,
+    }
+
+    def best_mb_per_s(label, length):
+        best_s = float("inf")
+        for generation in range(1, 21):
+            t0 = time.perf_counter()
+            blob = synthesize_context(label, length, generation)
+            best_s = min(best_s, time.perf_counter() - t0)
+            assert len(blob) == length
+        return length / best_s / 1e6
+
+    rates = run_once(
+        benchmark, lambda: {label: best_mb_per_s(label, n) for label, n in blobs.items()}
+    )
+    mb_per_s = min(rates.values())
+    assert mb_per_s >= MIN_CONTEXT_SYNTHESIS_MB_PER_S
+    _results["context_synthesis"] = {
+        "mb_per_s": mb_per_s,
+        "system_agent_bytes": blobs["system_agent"],
+        "system_agent_mb_per_s": rates["system_agent"],
+        "compute_bytes": blobs["compute"],
+        "compute_mb_per_s": rates["compute"],
+    }
+    emit(
+        f"context synthesis: {rates['system_agent']:.0f} MB/s (64 KiB SA blob), "
+        f"{rates['compute']:.0f} MB/s (136 KiB compute blob)"
+    )

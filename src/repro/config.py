@@ -244,6 +244,12 @@ class ContextInventory:
     graphics_bytes: int = 40 * KIB
     boot_bytes: int = 1 * KIB
 
+    def __post_init__(self) -> None:
+        for name in ("system_agent_bytes", "cores_bytes", "graphics_bytes", "boot_bytes"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
+                raise ConfigError(f"context inventory: {name} must be a positive int, not {size!r}")
+
     @property
     def total_bytes(self) -> int:
         return self.system_agent_bytes + self.cores_bytes + self.graphics_bytes

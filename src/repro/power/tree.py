@@ -93,7 +93,8 @@ class PowerTree:
         if self._suspended:
             return
         now = self.kernel.now
-        total = self.platform_power()
+        rail_powers = [rail.input_power() for rail in self._rails]
+        total = sum(rail_powers)
         # Only the platform total goes to the energy meter: per-rail numbers
         # are views (available via rail.input_power()), and feeding them to
         # the meter would double-count energy.  The trace, however, records
@@ -103,8 +104,8 @@ class PowerTree:
         self.meter.set_power(now, self.PLATFORM_CHANNEL, total)
         if self.trace is not None:
             self.trace.record(now, self.PLATFORM_CHANNEL, total)
-            for rail in self._rails:
-                self.trace.record(now, f"rail:{rail.name}", rail.input_power())
+            for rail, power in zip(self._rails, rail_powers):
+                self.trace.record(now, f"rail:{rail.name}", power)
 
     def refresh(self) -> None:
         """Force re-evaluation (e.g. after attaching pre-built rails)."""

@@ -127,6 +127,10 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "mee_bulk_context", "speedup", "floor", 5.0,
         "the batched MEE bulk path must beat a tree walk per 64 B block",
     ),
+    BenchPolicy(
+        "context_synthesis", "mb_per_s", "floor", 100.0,
+        "every exact standby cycle synthesizes 200 KB of context in one SHAKE-128 call",
+    ),
 )
 
 

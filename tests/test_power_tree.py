@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.techniques import TechniqueSet
 from repro.power.gates import BoardFETGate
 from repro.units import SECOND
+from repro.workloads.standby import ConnectedStandbyRunner
+
+from _platform import build_platform
 
 
 class TestAggregation:
@@ -107,3 +111,29 @@ class TestAttribution:
         rail.new_domain("d")  # empty
         breakdown = tree.attributed_breakdown()
         assert breakdown["vr:a"] == pytest.approx(0.05)
+
+
+class TestTracedChannels:
+    def test_rail_channels_match_live_rails_in_a_traced_run(self):
+        """Each change records every rail's input power at that instant, and
+        the platform channel is their in-order sum (exact floats)."""
+        platform = build_platform(TechniqueSet.baseline(), small_context=True)
+        tree, trace = platform.tree, platform.trace
+        rails = {f"rail:{rail.name}": rail for rail in tree.rails}
+        record = trace.record
+        changes = []  # (platform value, [rail values in tree order])
+
+        def checked_record(time_ps, channel, value):
+            if channel == tree.PLATFORM_CHANNEL:
+                changes.append((value, []))
+            elif channel in rails:
+                assert value == rails[channel].input_power()
+                changes[-1][1].append(value)
+            record(time_ps, channel, value)
+
+        trace.record = checked_record
+        ConnectedStandbyRunner(platform, idle_interval_s=0.5, maintenance_s=0.03).run(cycles=2)
+        assert len(changes) > 10
+        for total, rail_values in changes:
+            assert len(rail_values) == len(rails)
+            assert total == sum(rail_values)

@@ -84,6 +84,15 @@ class TestComputeDomain:
     def test_synthesize_context_deterministic(self):
         assert synthesize_context("a", 100, 1) == synthesize_context("a", 100, 1)
         assert synthesize_context("a", 100, 1) != synthesize_context("b", 100, 1)
+        # Exact length: sizes that are not a multiple of 32 B, and the
+        # default 64 KiB SA and 136 KiB compute blobs.
+        for length in (1, 33, 64 * 1024, 136 * 1024):
+            blob = synthesize_context("cores", length, 1)
+            assert len(blob) == length
+            assert synthesize_context("cores", length, 1) == blob
+        # Successive generations of one label differ.
+        generations = [synthesize_context("system_agent", 64 * 1024, g) for g in range(1, 6)]
+        assert len(set(generations)) == len(generations)
 
 
 class TestLLC:

@@ -115,3 +115,14 @@ class TestConfigValidation:
         inventory = ContextInventory()
         assert inventory.total_bytes == 200 * 1024
         assert inventory.offloadable_bytes == inventory.total_bytes
+
+    @pytest.mark.parametrize(
+        "field", ["system_agent_bytes", "cores_bytes", "graphics_bytes", "boot_bytes"]
+    )
+    @pytest.mark.parametrize("size", [0, -5, 1.5, True])
+    def test_context_inventory_rejects_nonpositive_sizes(self, field, size):
+        from repro.config import ContextInventory
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=field):
+            ContextInventory(**{field: size})
